@@ -40,7 +40,7 @@ def pytest_addoption(parser):
         metavar="DIR",
         help="write accumulated benchmark metrics to DIR/BENCH_<rev>.json "
              "at session end (throughput, overhead percentages, "
-             "tuned-vs-untuned speedups)",
+             "speedups)",
     )
 
 
@@ -48,7 +48,7 @@ def pytest_addoption(parser):
 def bench_record():
     """Record named metrics into the ``--bench-json`` snapshot.
 
-    ``bench_record("tune/xsbench", speedup=1.8, cold_search_s=0.4)``
+    ``bench_record("cluster/recovery", kill_to_readmit_s=0.5)``
     merges the keyword metrics under the given record name; repeated
     calls for one name accumulate.  Without ``--bench-json`` the records
     are still collected but simply never written.

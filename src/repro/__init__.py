@@ -17,8 +17,6 @@ Layer map (bottom to top):
 * :mod:`repro.harness`  — regenerates Figures 6, 7 and 8.
 * :mod:`repro.trace`    — nvprof/rocprof-style profiling & tracing of the
   whole stack (Chrome/Perfetto export, text summaries).
-* :mod:`repro.tune`     — trace-guided autotuning with a persistent
-  compiled-plan cache consulted by the launch fast path.
 
 Execution engines
 -----------------
@@ -69,11 +67,9 @@ Quickstart::
     ompx.target_teams_bare(dev, (n + 255) // 256, 256, scale, (d_a, n))
 """
 
-# __version__ must precede the subpackage imports: repro.tune.key reads
-# it at import time to stamp plan-cache toolchain versions.
 __version__ = "1.0.0"
 
-from . import apps, compiler, cuda, gpu, harness, hip, openmp, ompx, perf, port, trace, tune
+from . import apps, compiler, cuda, gpu, harness, hip, openmp, ompx, perf, port, trace
 from .errors import ReproError
 
 __all__ = [
@@ -88,7 +84,6 @@ __all__ = [
     "perf",
     "port",
     "trace",
-    "tune",
     "ReproError",
     "__version__",
 ]

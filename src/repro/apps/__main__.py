@@ -30,14 +30,6 @@ the same checksum as a fault-free run, followed by the recovery report.
 cross-checks the results.  ``device=`` selectors in ``--faults`` refer
 to pool indices (0..N-1) whenever a pool is in play.
 
-``--tune`` dispatches every launch through the :mod:`repro.tune`
-persistent plan cache (``--tune-cache DIR`` picks the directory): the
-first run of a (kernel, shape, device spec) searches the execution
-engines and persists the winner; warm runs — including later processes —
-dispatch straight from the cache with zero tuning launches.  Outputs are
-bit-identical to untuned runs.  Composes with ``--resilient``,
-``--serve``, ``--devices`` and ``--trace``.
-
 ``--cluster N`` shards the run across N supervised worker OS
 processes (:mod:`repro.cluster`), each hosting its own device — true
 multi-process parallelism past the GIL, with heartbeat supervision:
@@ -46,8 +38,8 @@ its shards are redispatched to the survivors, and a restarted worker is
 canary-probed back in.  The recovery report prints afterwards.
 Composes with ``--resilient`` (device healing *inside* each worker),
 ``--faults`` (the plan is shipped to and re-bound inside the workers;
-trigger counters then count per worker process), ``--tune``, ``--trace``
-and ``--serve``.  Degrades to the in-process pool with a warning when no
+trigger counters then count per worker process), ``--trace`` and
+``--serve``.  Degrades to the in-process pool with a warning when no
 worker can be spawned.
 
 ``--serve --tenants N`` runs the app through :mod:`repro.serve`: N
@@ -72,7 +64,7 @@ summary prints afterwards.  Composes with ``--devices``, ``--cluster``
 ``--resilient`` (retries resume from the last snapshot instead of step
 zero), ``--faults`` (the replay cursor keeps injected faults
 deterministic across the cut; ``checkpoint_write``/``checkpoint_read``
-are themselves injectable sites), ``--trace`` and ``--tune``.  With
+are themselves injectable sites) and ``--trace``.  With
 ``--serve`` the flag instead journals accepted submissions to
 DIR/journal.jsonl and ``--resume`` re-admits the not-yet-retired ones
 effectively once.  ``--resume`` without ``--checkpoint`` is an error.
@@ -87,8 +79,7 @@ Examples::
     python -m repro.apps adam --run --memcheck
     python -m repro.apps stencil1d --run --devices 4 --resilient --faults 'kernel_fault@3 device=1'
     python -m repro.apps xsbench --serve --tenants 4
-    python -m repro.apps xsbench --run --tune --tune-cache /tmp/plans
-    python -m repro.apps stencil1d --run --tune --serve --resilient --devices 2
+    python -m repro.apps stencil1d --run --serve --resilient --devices 2
     python -m repro.apps xsbench --run --cluster 3 --faults 'kernel_fault@2 device=1'
     python -m repro.apps mlpstep --run --devices 2
     python -m repro.apps su3et --run --variant ompx --device-spec xehpc
@@ -100,6 +91,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from typing import List, Optional, Sequence
 
 from .. import faults as faults_mod
@@ -165,7 +157,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "OS processes (repro.cluster), one device per "
                              "worker; lost workers are quarantined and their "
                              "shards redispatched. Composes with "
-                             "--resilient/--faults/--tune/--trace/--serve.")
+                             "--resilient/--faults/--trace/--serve.")
     parser.add_argument("--trace", metavar="OUT.json", default=None,
                         help="profile the run and write a Chrome/Perfetto "
                              "trace_event JSON to this path")
@@ -192,24 +184,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--tenants", type=int, default=2, metavar="N",
                         help="number of tenant sessions for --serve "
                              "(default 2)")
-    parser.add_argument("--tune", action="store_true",
-                        help="dispatch every launch through the repro.tune "
-                             "plan cache: cold (kernel, shape, device spec) "
-                             "keys are searched once and persisted; warm "
-                             "runs dispatch with zero derivation. Output is "
-                             "bit-identical to an untuned run. A tune "
-                             "summary is printed afterwards.")
-    parser.add_argument("--tune-cache", metavar="DIR", default=None,
-                        help="plan-cache directory for --tune (default: "
-                             "$XDG_CACHE_HOME/repro/tune)")
     parser.add_argument("--checkpoint", metavar="DIR", default=None,
                         help="snapshot the run's completed shards (plus the "
                              "fault-plan replay cursor) into DIR after every "
                              "--checkpoint-every shards, crash-consistently "
                              "(repro.ckpt); with --serve, journal accepted "
                              "submissions into DIR instead. Composes with "
-                             "--devices/--cluster/--resilient/--tune/"
-                             "--trace/--faults.")
+                             "--devices/--cluster/--resilient/--trace/"
+                             "--faults.")
     parser.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
                         help="checkpoint cadence in shards (default 1: "
                              "snapshot after every shard)")
@@ -247,20 +229,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     tracer = trace_mod.enable() if flags.trace else None
-    tune_session = None
-    if flags.tune:
-        from .. import tune as tune_mod
-
-        tune_session = tune_mod.enable(flags.tune_cache)
     try:
         return _run_instrumented(app, flags, params, plan)
     finally:
-        if tune_session is not None:
-            from .. import tune as tune_mod
-
-            tune_mod.disable()
-            print()
-            print(tune_session.describe())
         if tracer is not None:
             trace_mod.disable()
             tracer.export_chrome(flags.trace)
@@ -273,23 +244,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run_instrumented(app, flags, params, plan) -> int:
     """Dispatch one app run under the requested fault/sanitizer scopes.
 
-    With a fault plan active a library error is the *expected* outcome:
-    it is reported cleanly with the injected-fault log (exit code 1)
+    A library error — a configuration the backend refuses, or, with a
+    fault plan active, the *expected* outcome of an injected fault — is
+    reported cleanly (with the injected-fault log, if any; exit code 1)
     instead of a traceback.
     """
-    if plan is None and not flags.memcheck:
-        return _dispatch(app, flags, params)
     checker = None
     try:
-        if plan is not None and flags.memcheck:
-            with faults_mod.inject(plan), faults_mod.memcheck() as checker:
-                code = _dispatch(app, flags, params)
-        elif plan is not None:
-            with faults_mod.inject(plan):
-                code = _dispatch(app, flags, params)
-        else:
-            with faults_mod.memcheck() as checker:
-                code = _dispatch(app, flags, params)
+        with ExitStack() as scopes:
+            if plan is not None:
+                scopes.enter_context(faults_mod.inject(plan))
+            if flags.memcheck:
+                checker = scopes.enter_context(faults_mod.memcheck())
+            code = _dispatch(app, flags, params)
     except ReproError as exc:
         print(f"\n{type(exc).__name__}: {exc}", file=sys.stderr)
         code = 1
@@ -428,8 +395,6 @@ def _run_serve(app, flags, run_params) -> int:
         resilient=flags.resilient,
         verify=flags.verify,
         seed=plan.seed if plan is not None else 0,
-        tune=flags.tune,
-        tune_cache=flags.tune_cache,
         journal_dir=flags.checkpoint,
     ) as service:
         if flags.resume and flags.checkpoint:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import abc
 import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -109,23 +110,19 @@ class ExecutionConfig:
       processes instead of in-process pool threads (see
       :mod:`repro.cluster`); degrades to an in-process pool with a
       :class:`RuntimeWarning` when no worker can be spawned.  Composes
-      with ``resilient`` (device healing inside each worker), ``tune``
-      and an active fault plan (shipped to and re-bound inside the
-      workers — trigger counters then count per worker process).
+      with ``resilient`` (device healing inside each worker) and an
+      active fault plan (shipped to and re-bound inside the workers —
+      trigger counters then count per worker process).
     * ``resilient``/``verify``/``seed``/``report`` — wrap the pool in
       :class:`~repro.resilience.ResilientPool` (``verify=2`` adds the
-      dual-device cross-check); ``seed=None`` inherits the active fault
-      plan's seed so chaos replays stay deterministic.  Pass a
-      :class:`~repro.resilience.RecoveryReport` to observe recovery
-      actions even when the run ultimately fails.
+      dual-device cross-check, so it needs ``devices >= 2``, or two
+      devices per cluster worker; a smaller pool is refused with
+      :class:`~repro.errors.SchedulerError`); ``seed=None`` inherits the
+      active fault plan's seed so chaos replays stay deterministic.
+      Pass a :class:`~repro.resilience.RecoveryReport` to observe
+      recovery actions even when the run ultimately fails.
     * ``trace`` — install a process tracer for the duration when none is
       active; the tracer is attached to the result as ``result.tracer``.
-    * ``tune``/``tune_cache`` — install a :mod:`repro.tune` session for
-      the duration when none is active, so every launch dispatches
-      through the persistent plan cache (``tune_cache`` overrides the
-      default cache directory).  The session is attached to the result
-      as ``result.tune_session``.  Outputs are bit-identical to untuned
-      runs — tuning only picks among equivalent engines.
     * ``checkpoint_dir``/``checkpoint_every``/``checkpoint_shards``/
       ``resume`` — execute through :func:`repro.ckpt.run_checkpointed`:
       the run is sharded into waves of ``checkpoint_every`` shards with
@@ -152,8 +149,6 @@ class ExecutionConfig:
     seed: Optional[int] = None
     report: Optional[object] = None
     trace: bool = False
-    tune: bool = False
-    tune_cache: Optional[str] = None
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 1
     checkpoint_shards: Optional[int] = None
@@ -185,26 +180,14 @@ def run(app: "BenchmarkApp", config: Optional[ExecutionConfig] = None,
 
         if trace_mod.get_tracer() is None:
             tracer = trace_mod.enable()
-    tune_session = owns_tune = None
-    if config.tune:
-        from .. import tune as tune_mod
-
-        tune_session = tune_mod.active_session()
-        if tune_session is None:
-            tune_session = owns_tune = tune_mod.enable(config.tune_cache)
     try:
         result = _run_with_config(app, variant, params, config)
     finally:
-        if owns_tune is not None:
-            from .. import tune as tune_mod
-
-            tune_mod.disable()
         if tracer is not None:
             from .. import trace as trace_mod
 
             trace_mod.disable()
     result.tracer = tracer
-    result.tune_session = tune_session
     return result
 
 
@@ -213,13 +196,34 @@ def _run_with_config(app, variant, params, config: ExecutionConfig) -> Functiona
         raise AppError("resume=True requires checkpoint_dir (--checkpoint DIR)")
     if config.checkpoint_dir is not None:
         return _run_checkpointed(app, variant, params, config)
+    if (config.pool is None and config.cluster <= 0
+            and config.devices <= 1 and not config.resilient):
+        from ..gpu.device import resolve_placement
+
+        return app.run_single(variant, params, resolve_placement(config.device))
+    with _backend(config) as pool:
+        return _run_on_pool(app, variant, params, pool)
+
+
+@contextmanager
+def _backend(config: ExecutionConfig):
+    """Yield the pool a sharded or checkpointed run executes on.
+
+    An external ``config.pool`` is yielded as is and never closed.  A
+    ``cluster`` is built by :func:`repro.cluster.cluster_pool` (which may
+    degrade to an in-process pool) and closed on exit.  Otherwise a fresh
+    :class:`~repro.sched.DevicePool` gets the active fault plan bound to
+    its devices and, when ``resilient``, is wrapped in a
+    :class:`~repro.resilience.ResilientPool`.
+    """
     if config.pool is not None:
-        return _run_on_pool(app, variant, params, config.pool)
+        yield config.pool
+        return
+    seed = config.seed if config.seed is not None else _active_plan_seed()
     if config.cluster > 0:
         from ..cluster import cluster_pool
         from ..faults import active_plan
 
-        seed = config.seed if config.seed is not None else _active_plan_seed()
         pool = cluster_pool(
             config.cluster,
             resilient=config.resilient,
@@ -227,34 +231,29 @@ def _run_with_config(app, variant, params, config: ExecutionConfig) -> Functiona
             seed=seed,
             report=config.report,
             plan=active_plan(),
-            tune=config.tune,
-            tune_cache=config.tune_cache,
         )
         try:
-            return _run_on_pool(app, variant, params, pool)
+            yield pool
         finally:
             pool.close()
-    if config.devices > 1 or config.resilient:
-        from ..sched import DevicePool
+        return
+    from ..sched import DevicePool
 
-        with DevicePool(config.devices, placement=config.placement) as pool:
-            _bind_fault_plan(pool)
-            if not config.resilient:
-                return app.run_sharded(variant, params, pool)
-            from ..resilience import ResilientPool
+    with DevicePool(config.devices, placement=config.placement) as pool:
+        _bind_fault_plan(pool)
+        if not config.resilient:
+            yield pool
+            return
+        from ..resilience import ResilientPool
 
-            seed = config.seed if config.seed is not None else _active_plan_seed()
-            with ResilientPool(
-                pool, verify=config.verify, seed=seed, report=config.report
-            ) as rpool:
-                return _run_on_pool(app, variant, params, rpool)
-    from ..gpu.device import resolve_placement
-
-    return app.run_single(variant, params, resolve_placement(config.device))
+        with ResilientPool(
+            pool, verify=config.verify, seed=seed, report=config.report
+        ) as rpool:
+            yield rpool
 
 
 def _run_checkpointed(app, variant, params, config: ExecutionConfig) -> FunctionalResult:
-    """Build the configured backend and execute through the ckpt runner.
+    """Execute through the ckpt runner on the configured backend.
 
     The checkpoint strategy subsumes the plain sharded/clustered paths
     (same shard contract, plus snapshots), so every backend — external
@@ -276,55 +275,13 @@ def _run_checkpointed(app, variant, params, config: ExecutionConfig) -> Function
             resume=config.resume, shards=config.checkpoint_shards,
         )
 
-    def dispatch(pool) -> FunctionalResult:
+    with _backend(config) as pool:
         if hasattr(pool, "run_to_completion"):
-            return pool.run_to_completion(
+            result = pool.run_to_completion(
                 body, label=f"{app.name}:{variant}:ckpt"
             )
-        return body(pool)
-
-    if config.pool is not None:
-        result = dispatch(config.pool)
-    elif config.cluster > 0:
-        from ..cluster import cluster_pool
-        from ..faults import active_plan
-
-        seed = config.seed if config.seed is not None else _active_plan_seed()
-        pool = cluster_pool(
-            config.cluster,
-            resilient=config.resilient,
-            verify=config.verify,
-            seed=seed,
-            report=config.report,
-            plan=active_plan(),
-            tune=config.tune,
-            tune_cache=config.tune_cache,
-        )
-        try:
-            result = dispatch(pool)
-        finally:
-            pool.close()
-    else:
-        from ..sched import DevicePool
-
-        with DevicePool(
-            max(config.devices, 1), placement=config.placement
-        ) as pool:
-            _bind_fault_plan(pool)
-            if config.resilient:
-                from ..resilience import ResilientPool
-
-                seed = (
-                    config.seed if config.seed is not None
-                    else _active_plan_seed()
-                )
-                with ResilientPool(
-                    pool, verify=config.verify, seed=seed,
-                    report=config.report,
-                ) as rpool:
-                    result = dispatch(rpool)
-            else:
-                result = dispatch(pool)
+        else:
+            result = body(pool)
     result.checkpoint = session
     return result
 

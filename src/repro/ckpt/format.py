@@ -8,7 +8,7 @@ One snapshot is one file::
     │                            "digest": "<sha256 of payload>"}
     └── payload: pickled {"meta": ..., "state": ...}
 
-Durability contract (shared with the :mod:`repro.tune` plan cache):
+Durability contract:
 
 * **Versioned schema.**  The header carries ``schema``; unknown versions
   are rejected as corrupt, never half-interpreted.

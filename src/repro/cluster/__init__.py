@@ -5,8 +5,8 @@ stops at one process / N simulated devices (every NumPy kernel fighting
 the same GIL, one hung interpreter taking the whole "machine" down),
 :class:`ClusterPool` shards work across spawned worker OS processes,
 each hosting its own slice of a :class:`~repro.sched.DevicePool` —
-behind the same :class:`~repro.sched.PoolProtocol`, so ``repro.serve``,
-``repro.resilience`` and ``repro.tune`` compose with it unchanged.
+behind the same :class:`~repro.sched.PoolProtocol`, so ``repro.serve``
+and ``repro.resilience`` compose with it unchanged.
 
 - :class:`ClusterPool` / :class:`ClusterFuture` / :class:`DeviceProxy` —
   the supervised multi-process pool (heartbeats, quarantined

@@ -244,9 +244,7 @@ class ClusterPool:
     ``plan`` (a :class:`~repro.faults.FaultPlan` or spec string) is
     pickled to every worker and re-bound so ``device=`` selectors address
     super-device indices; note fault trigger counters then count per
-    worker process.  ``tune=True`` with a shared ``tune_cache`` enables
-    the autotuner in every worker (the plan cache file is
-    concurrency-safe, so workers share one cache).
+    worker process.
     """
 
     is_cluster = True
@@ -267,8 +265,6 @@ class ClusterPool:
         restart: bool = True,
         spawn_timeout_s: float = 30.0,
         plan=None,
-        tune: bool = False,
-        tune_cache: Optional[str] = None,
     ) -> None:
         if specs is None:
             if workers <= 0:
@@ -297,6 +293,15 @@ class ClusterPool:
                 f"{heartbeat_s}; a deadline shorter than one heartbeat "
                 f"declares every worker dead"
             )
+        if resilient and verify == 2:
+            narrow = [r for r, ws in enumerate(per_worker) if len(ws) < 2]
+            if narrow:
+                raise ClusterError(
+                    f"resilient verify=2 cross-checks every shard on two "
+                    f"devices inside one worker, but worker(s) {narrow} "
+                    f"would host fewer than 2; pass devices_per_worker=2 "
+                    f"(or specs= with 2 per worker) or verify=1"
+                )
 
         self.report = report or RecoveryReport()
         self.report.ensure_kinds(CLUSTER_KINDS)
@@ -350,8 +355,6 @@ class ClusterPool:
                         verify=verify,
                         seed=seed,
                         plan_bytes=plan_bytes,
-                        tune=tune,
-                        tune_cache=tune_cache,
                     ),
                 )
             )
@@ -684,13 +687,6 @@ class ClusterPool:
 
     def __len__(self) -> int:
         return len(self.devices)
-
-    def distinct_specs(self) -> List[DeviceProxy]:
-        """One representative active proxy per distinct device spec."""
-        seen: Dict[DeviceSpec, DeviceProxy] = {}
-        for proxy in self.devices:
-            seen.setdefault(proxy.spec, proxy)
-        return list(seen.values())
 
     def _resolve_device(self, device) -> Optional[DeviceProxy]:
         if device is None:

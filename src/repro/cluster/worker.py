@@ -62,8 +62,6 @@ class WorkerConfig:
     verify: int = 1
     seed: int = 0
     plan_bytes: Optional[bytes] = None
-    tune: bool = False
-    tune_cache: Optional[str] = None
 
 
 @dataclass
@@ -128,7 +126,6 @@ class _WorkerRuntime:
         self.jobs_done = 0
         self.jobs_failed = 0
         self._plan_cm = None
-        self._tuned = False
         self._inflight = 0
         self._inflight_cv = threading.Condition()
 
@@ -197,14 +194,6 @@ class _WorkerRuntime:
                 verify=self.config.verify,
                 seed=self.config.seed + self.config.rank,
             )
-        if self.config.tune and self.config.tune_cache:
-            from .. import tune as tune_mod
-
-            if tune_mod.active_session() is None:
-                tune_mod.enable(
-                    self.config.tune_cache, seed=self.config.seed
-                )
-                self._tuned = True
         self.context = WorkerContext(
             rank=self.config.rank,
             size=self.config.size,
@@ -220,10 +209,6 @@ class _WorkerRuntime:
             if self.inner_pool is not None:
                 self.inner_pool.close(drain=drain)
         finally:
-            if self._tuned:
-                from .. import tune as tune_mod
-
-                tune_mod.disable()
             if self._plan_cm is not None:
                 self._plan_cm.__exit__(None, None, None)
                 self._plan_cm = None

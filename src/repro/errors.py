@@ -35,8 +35,6 @@ __all__ = [
     "ServeError",
     "QueueFull",
     "SessionClosed",
-    "TuneError",
-    "PlanCacheError",
     "VendorError",
     "BlasDimensionError",
     "UnknownVendorError",
@@ -510,28 +508,6 @@ class QueueFull(ServeError):
 
 class SessionClosed(ServeError):
     """A submission arrived on a closed :class:`repro.serve.Session`."""
-
-
-class TuneError(ReproError):
-    """The autotuner was misconfigured or a tuning operation failed.
-
-    Raised for bad tuning configuration (non-positive budgets, unknown
-    candidate engines) and for misuse of the tuning session API.  Kernel
-    failures *during* candidate measurement are never wrapped in this:
-    an infeasible candidate is simply discarded, and a device fault
-    aborts the search so the real launch surfaces it through the normal
-    path.
-    """
-
-
-class PlanCacheError(TuneError):
-    """The persistent plan cache was misused (bad directory, bad key).
-
-    Note the asymmetry with I/O problems: a *corrupted or
-    schema-mismatched cache file* is never an error — it is ignored with
-    a :class:`RuntimeWarning` and rebuilt, because a stale cache must
-    not be able to take down a run that would succeed without one.
-    """
 
 
 class _StructuredError(ReproError):

@@ -51,21 +51,6 @@ def _fallback_allowed() -> bool:
     )
 
 
-#: Lazily bound ``repro.tune.state.active_session`` — resolved on first
-#: launch rather than at import time, which keeps the tune <-> launch
-#: dependency acyclic (tune imports the engine/perf layers).
-_tune_active = None
-
-
-def _tune_session():
-    global _tune_active
-    if _tune_active is None:
-        from ..tune.state import active_session
-
-        _tune_active = active_session
-    return _tune_active()
-
-
 def _with_injected_fault(kernel: Callable, kernel_name: str, spec: dict) -> Callable:
     """Wrap ``kernel`` so the planned :class:`KernelFault` fires in-flight.
 
@@ -210,7 +195,6 @@ def launch_kernel(
     are returned — the default OpenMP ``target`` behaviour the paper
     contrasts in §2.3.
     """
-    dispatch_begin = time.perf_counter_ns()
     if not isinstance(config, LaunchConfig):
         if isinstance(kernel, LaunchConfig) and callable(config):
             warnings.warn(
@@ -230,16 +214,7 @@ def launch_kernel(
     device = resolve_placement(device)
     device.check_poison()
     device.spec.validate_launch(config.grid, config.block, config.shared_bytes)
-    # Tune fast path: an installed session resolves the engine from its
-    # persisted plan cache (or searches on a cold miss) before ordinary
-    # plan derivation runs.  An explicit config.engine pin always wins.
-    session = _tune_session()
-    engine = None
-    search_ns = 0
-    if session is not None and config.engine is None:
-        engine, search_ns = session.resolve(kernel, config, args, device)
-    if engine is None:
-        engine = select_engine(kernel, device, config.block, hint=config.engine)
+    engine = select_engine(kernel, device, config.block, hint=config.engine)
     kernel_name = getattr(
         getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
     )
@@ -330,15 +305,6 @@ def launch_kernel(
                 tracer.counter("engine_fallbacks")
             return run_once(_ENGINES_BY_NAME["block-thread"])
 
-    if session is not None:
-        # Dispatch-overhead profiling: everything this function did
-        # before handing off to an engine or stream, minus time spent
-        # searching (a cold search is a one-off investment, not
-        # dispatch; excluding it keeps warm and untuned runs directly
-        # comparable).
-        session.overhead.record(
-            time.perf_counter_ns() - dispatch_begin - search_ns
-        )
     if config.stream is not None and not synchronous:
         config.stream.enqueue(run, label=f"launch:{kernel_name}")
         return None

@@ -236,35 +236,6 @@ class GlobalAllocator:
             checker.note_bad_free(message)
         return InvalidPointerError(message)
 
-    # --- state capture ------------------------------------------------------
-    def snapshot(self) -> Dict[int, np.ndarray]:
-        """Copy the contents of every live allocation (base -> bytes).
-
-        The autotuner brackets candidate-measurement launches with
-        :meth:`snapshot`/:meth:`restore` so probing a non-idempotent
-        kernel leaves device memory untouched.  Only contents are
-        captured — the allocation table itself is not rolled back, so a
-        probe that mallocs/frees is outside the contract (kernels cannot
-        allocate; only host code can).
-        """
-        with self._lock:
-            return {base: alloc.data.copy()
-                    for base, alloc in self._allocations.items()}
-
-    def restore(self, snap: Dict[int, np.ndarray]) -> None:
-        """Write a :meth:`snapshot` back **in place**.
-
-        Contents are restored into the existing buffers (``data[:] =``),
-        never by replacing them, so NumPy views handed out by
-        :meth:`view` before the snapshot stay valid afterwards.
-        Allocations that appeared after the snapshot are left alone.
-        """
-        with self._lock:
-            for base, data in snap.items():
-                alloc = self._allocations.get(base)
-                if alloc is not None:
-                    alloc.data[:] = data
-
     @property
     def bytes_in_use(self) -> int:
         with self._lock:

@@ -18,7 +18,7 @@ BLAS conventions are honoured: column-major storage, leading dimensions,
 transpose flags, strided vectors, strided batches — so a cuBLAS call
 ports by renaming the prefix, which is the §3.6 claim.
 
-The wrapper layer behaves like the launch path in three more ways:
+The wrapper layer behaves like the launch path in two more ways:
 
 * **Streams.** :func:`ompxblas_set_stream` binds a handle to a stream
   (``cublasSetStream``); bound calls enqueue on it and therefore order
@@ -29,8 +29,6 @@ The wrapper layer behaves like the launch path in three more ways:
   carrying backend, flops and bytes, and bumps the ``vendor_calls`` /
   ``vendor_flops`` / ``vendor_bytes`` counters — so :mod:`repro.trace`
   sees BLAS calls like kernel launches.
-* **Dispatch profiling.** Wrapper overhead is recorded into the active
-  tune session's :class:`~repro.tune.overhead.DispatchProfiler`.
 
 Modeled performance rides on :mod:`repro.perf.roofline`:
 :func:`modeled_gemm_seconds` prices a GEMM at a given instruction-stream
@@ -41,7 +39,6 @@ number the benchmarks can report.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Type
 
@@ -541,33 +538,16 @@ def ompxblas_get_stream(handle: OmpxBlasHandle) -> Optional[Stream]:
 
 # --- the dispatch path -------------------------------------------------------
 
-#: Lazily bound ``repro.tune.state.active_session`` — resolved on first
-#: call rather than at import time, mirroring the launch path, so the
-#: tune <-> vendor dependency stays acyclic.
-_tune_active = None
-
-
-def _tune_session():
-    global _tune_active
-    if _tune_active is None:
-        from ..tune.state import active_session
-
-        _tune_active = active_session
-    return _tune_active()
-
-
 def _execute(handle, op, fn, *, flops=0.0, bytes_moved=0.0, scalar=False,
              **span_args):
     """Run one BLAS call with launch-path semantics.
 
     Checks handle liveness and context poison, emits the ``vendor:<op>``
-    span and counters, enqueues on the bound stream (synchronizing first
-    for ``scalar`` results), and records the elapsed dispatch time into
-    the active tune session's profiler.
+    span and counters, and enqueues on the bound stream (synchronizing
+    first for ``scalar`` results).
     """
     _require_alive(handle, op)
     handle.device.check_poison()
-    begin = time.perf_counter_ns()
     tracer = get_tracer()
     if tracer is not None:
         tracer.counter("vendor_calls")
@@ -582,32 +562,27 @@ def _execute(handle, op, fn, *, flops=0.0, bytes_moved=0.0, scalar=False,
         "bytes": float(bytes_moved),
         **span_args,
     }
-    session = _tune_session()
-    try:
-        stream = handle.stream
-        if stream is not None:
-            if not scalar:
-                stream.enqueue(fn, label=f"vendor:{op}",
-                               trace_cat="vendor", trace_args=args)
-                return None
-            # Scalar results land in host memory, so the call is a
-            # synchronization point (cuBLAS with a host result pointer).
-            box = {}
-
-            def run() -> None:
-                box["value"] = fn()
-
-            stream.enqueue(run, label=f"vendor:{op}",
+    stream = handle.stream
+    if stream is not None:
+        if not scalar:
+            stream.enqueue(fn, label=f"vendor:{op}",
                            trace_cat="vendor", trace_args=args)
-            stream.synchronize()
-            return box["value"]
-        if tracer is None:
-            return fn()
-        with tracer.span(f"vendor:{op}", cat="vendor", **args):
-            return fn()
-    finally:
-        if session is not None:
-            session.overhead.record(time.perf_counter_ns() - begin)
+            return None
+        # Scalar results land in host memory, so the call is a
+        # synchronization point (cuBLAS with a host result pointer).
+        box = {}
+
+        def run() -> None:
+            box["value"] = fn()
+
+        stream.enqueue(run, label=f"vendor:{op}",
+                       trace_cat="vendor", trace_args=args)
+        stream.synchronize()
+        return box["value"]
+    if tracer is None:
+        return fn()
+    with tracer.span(f"vendor:{op}", cat="vendor", **args):
+        return fn()
 
 
 # --- level 3 wrappers --------------------------------------------------------

@@ -300,7 +300,8 @@ class ResilientPool:
     ``verify=2`` additionally runs every relocatable (unpinned)
     submission on a second device and compares result digests, catching
     corruption (e.g. an injected truncated memcpy) that produces a wrong
-    answer instead of an exception.
+    answer instead of an exception.  It needs a pool of at least two
+    devices; a smaller pool is refused at construction.
     """
 
     def __init__(
@@ -316,6 +317,12 @@ class ResilientPool:
     ) -> None:
         if verify not in (1, 2):
             raise SchedulerError(f"verify must be 1 or 2, got {verify}")
+        if verify == 2 and len(pool.devices) < 2:
+            raise SchedulerError(
+                f"verify=2 cross-checks every shard on a second device, but "
+                f"the pool has {len(pool.devices)}; use at least 2 devices "
+                f"or verify=1"
+            )
         self.pool = pool
         self.policy = policy or RetryPolicy()
         self.report = report or RecoveryReport()
@@ -348,18 +355,6 @@ class ResilientPool:
 
     def __len__(self) -> int:
         return len(self.health.active_indices())
-
-    def distinct_specs(self) -> List[Device]:
-        """One representative *active* device per distinct spec.
-
-        Mirrors :meth:`DevicePool.distinct_specs` but only over devices
-        still eligible for placement, so ``repro.tune.warm`` never
-        probes a quarantined or retired device.
-        """
-        seen = {}
-        for device in self.devices:
-            seen.setdefault(device.spec, device)
-        return list(seen.values())
 
     def submit_call(
         self,

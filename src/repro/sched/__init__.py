@@ -79,10 +79,6 @@ class PoolProtocol(Protocol):
         """Block until every job submitted so far has finished."""
         ...
 
-    def distinct_specs(self) -> List:  # pragma: no cover - protocol declaration
-        """One representative device per distinct spec (for tune warm-up)."""
-        ...
-
     def close(
         self, *, drain: bool = True, timeout: float = 10.0
     ) -> None:  # pragma: no cover - protocol declaration

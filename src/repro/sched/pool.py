@@ -409,24 +409,6 @@ class DevicePool:
         with self._lock:
             return self._pending[device.ordinal]
 
-    def distinct_specs(self) -> List[Device]:
-        """One representative device per distinct :class:`DeviceSpec`.
-
-        Plan-cache entries are keyed per device *spec*, not per device,
-        so warming a launch on the devices this returns (see
-        :func:`repro.tune.warm`) is enough for every pool worker to
-        dispatch from the cache — a mixed A100/MI250 pool yields one
-        device of each.  Order follows the pool's device order, so the
-        first device of each spec is the representative.
-        """
-        seen = set()
-        representatives = []
-        for device in self.devices:
-            if device.spec not in seen:
-                seen.add(device.spec)
-                representatives.append(device)
-        return representatives
-
     # --- submission ---------------------------------------------------------
     def _submit(self, fn: Callable[[Device], object], device, label: str) -> KernelFuture:
         with self._lock:

@@ -94,8 +94,6 @@ class KernelService:
         dispatchers: Optional[int] = None,
         request_timeout_s: float = 120.0,
         max_redispatch: int = 8,
-        tune: bool = False,
-        tune_cache: Optional[str] = None,
         journal_dir: Optional[str] = None,
     ) -> None:
         #: Service-level recovery report: backend healing (when the
@@ -123,9 +121,14 @@ class KernelService:
             if resilient:
                 from ..resilience import ResilientPool
 
-                backend = ResilientPool(
-                    self._pool, verify=verify, seed=seed, report=self.report
-                )
+                try:
+                    backend = ResilientPool(
+                        self._pool, verify=verify, seed=seed,
+                        report=self.report,
+                    )
+                except ReproError:
+                    self._pool.close()
+                    raise
             else:
                 backend = self._pool
         elif not isinstance(backend, PoolProtocol):
@@ -151,22 +154,6 @@ class KernelService:
             dispatchers=count,
             default_quota=default_quota,
         )
-        # ``tune=True`` dispatches every served launch through the
-        # repro.tune plan cache.  All tenants share one session — plans
-        # are keyed on (kernel, shape, device spec), not on the tenant,
-        # so coalesced requests and repeat submissions reuse one tuned
-        # plan; the cache file itself is concurrency-safe (atomic
-        # rename + in-process lock).  An already-active process session
-        # is reused and left installed at close.
-        self._tune_session = None
-        self._owns_tune = False
-        if tune:
-            from .. import tune as tune_mod
-
-            self._tune_session = tune_mod.active_session()
-            if self._tune_session is None:
-                self._tune_session = tune_mod.enable(tune_cache)
-                self._owns_tune = True
         # ``journal_dir=`` journals every accepted app submission the
         # service can describe as JSON (app identity, variant, params,
         # tenant, coalescing key) and marks it done when its future is
@@ -578,7 +565,7 @@ class KernelService:
                   for key in STAT_KEYS}
         with self._stats_lock:
             executions = self._executions
-        stats = {
+        return {
             "service": {
                 "tenants": len(tenants),
                 "devices": len(self.backend.devices),
@@ -590,9 +577,6 @@ class KernelService:
             },
             "tenants": tenants,
         }
-        if self._tune_session is not None:
-            stats["tune"] = self._tune_session.summary()
-        return stats
 
     def summary(self) -> str:
         """Human-readable service report, printed by the CLI."""
@@ -615,8 +599,6 @@ class KernelService:
             f"({saved} coalesced away), {service['failed']} failed, "
             f"{service['rejected']} rejected"
         )
-        if self._tune_session is not None:
-            lines.append(f"  {self._tune_session.describe()}")
         return "\n".join(lines)
 
     # --- lifecycle ----------------------------------------------------------
@@ -663,13 +645,6 @@ class KernelService:
                 self._pool.close()
         if self._journal is not None:
             self._journal.close()
-        if self._owns_tune:
-            from .. import tune as tune_mod
-
-            if tune_mod.active_session() is self._tune_session:
-                tune_mod.disable()
-            else:
-                self._tune_session.save()
 
     def __enter__(self) -> "KernelService":
         return self

@@ -6,7 +6,7 @@ finish with output *bit-identical* (``np.array_equal``, not approx) to
 the single-device reference, and the lost worker must show up as a
 quarantined super-device in the recovery report.  Also covers the CLI
 composition surface: ``--cluster`` alongside ``--resilient``,
-``--faults``, ``--serve`` and ``--tune``.
+``--faults``, ``--serve`` and ``--trace``.
 """
 
 import os
@@ -111,14 +111,6 @@ class TestCliComposition:
         ]) == 0
         out = capsys.readouterr().out
         assert "worker" in out
-
-    def test_cluster_composes_with_tune(self, capsys, tmp_path):
-        assert main([
-            "xsbench", "--run", "--cluster", "2", "--tune",
-            "--tune-cache", str(tmp_path / "plans"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "PASSED" in out
 
     def test_cluster_composes_with_trace(self, capsys, tmp_path):
         trace_out = tmp_path / "trace.json"

@@ -92,11 +92,6 @@ class TestPlacement:
         ]
         assert len(set(pids)) == 2
 
-    def test_distinct_specs_collapses_same_spec_workers(self, pool):
-        distinct = pool.distinct_specs()
-        assert len(distinct) == 1
-        assert "A100" in distinct[0].spec.name
-
     def test_out_of_range_pin_is_rejected(self, pool):
         with pytest.raises(ClusterError, match="device"):
             pool.submit_call(ordinal_probe, device=99)
@@ -181,6 +176,22 @@ class TestValidation:
     def test_misuse_errors_are_not_degradable(self):
         with pytest.raises(ClusterError):
             cluster_pool(0)
+
+    def test_resilient_verify2_needs_two_devices_per_worker(self, monkeypatch):
+        # verify=2 cross-checks inside a worker's own pool; one device
+        # per worker would skip it silently.  Refused in the parent,
+        # before any worker is spawned, and never degraded around.
+        spawned = []
+        monkeypatch.setattr(
+            ClusterPool, "_start_worker",
+            lambda self, handle: spawned.append(handle.rank),
+        )
+        with pytest.raises(ClusterError, match="verify=2") as info:
+            ClusterPool(2, resilient=True, verify=2)
+        assert not getattr(info.value, "degradable", False)
+        with pytest.raises(ClusterError, match="verify=2"):
+            cluster_pool(2, resilient=True, verify=2)
+        assert spawned == []
 
 
 class TestGracefulDegradation:

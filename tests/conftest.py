@@ -46,11 +46,6 @@ def pytest_runtest_call(item):
         seconds = 120
     elif marker is None and item.get_closest_marker("serve") is not None:
         seconds = 120
-    elif marker is None and item.get_closest_marker("tune") is not None:
-        # Tuning tests launch measurement probes across several engines
-        # (including the slow cooperative one) and spin up serving
-        # tiers; a lost wakeup there hangs just like a serve bug does.
-        seconds = 120
     elif marker is None and item.get_closest_marker("cluster") is not None:
         # Cluster tests spawn worker processes and deliberately kill
         # them; a supervision bug (lost heartbeat wakeup, join on a dead

@@ -256,6 +256,19 @@ class TestVerify2:
         with pytest.raises(SchedulerError, match="verify"):
             ResilientPool(pool, verify=3)
 
+    def test_one_device_pool_is_refused_at_construction(self):
+        # With no second device there is nothing to cross-check against;
+        # accepting the pool would run verify=2 as a silent verify=1.
+        with DevicePool(1) as single:
+            with pytest.raises(SchedulerError, match="verify=2"):
+                ResilientPool(single, verify=2)
+
+    def test_run_refuses_verify2_on_one_device(self):
+        from repro.apps import XSBench, run
+
+        with pytest.raises(SchedulerError, match="verify=2"):
+            run(XSBench(), resilient=True, verify=2)
+
 
 class TestWatchdogIntegration:
     def test_hung_job_is_timed_out_and_retried_elsewhere(self, pool):

@@ -60,9 +60,7 @@ def _params(cls, name):
 
 class TestSignatureCompatibility:
     @pytest.mark.parametrize("other", [ResilientPool, ClusterPool])
-    @pytest.mark.parametrize(
-        "method", ["submit", "submit_call", "close", "distinct_specs"]
-    )
+    @pytest.mark.parametrize("method", ["submit", "submit_call", "close"])
     def test_parameter_names_and_kinds_agree(self, method, other):
         plain = _params(DevicePool, method)
         theirs = _params(other, method)
@@ -124,7 +122,7 @@ class TestInterchangeability:
         # The cluster backend cannot ship raw DevicePointer arguments
         # across the process boundary, so the cross-backend driver here
         # sticks to the portable subset: picklable submit_call payloads,
-        # ``shard=`` accounting, ``device=`` pinning and distinct_specs.
+        # ``shard=`` accounting, ``device=`` pinning and device specs.
         def drive(backend):
             names = []
             for index in range(len(backend)):
@@ -134,7 +132,7 @@ class TestInterchangeability:
                 )
                 names.append(fut.result(timeout=30))
             backend.synchronize()
-            distinct = {d.spec.name for d in backend.distinct_specs()}
+            distinct = {d.spec.name for d in backend.devices}
             return sorted(names), distinct
 
         with DevicePool(2) as pool:

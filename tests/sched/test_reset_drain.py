@@ -33,11 +33,13 @@ def _fill(ctx, out, n):
 
 def test_reset_cancels_queued_jobs_deterministically():
     gate = threading.Event()
+    started = threading.Event()
     ran = []
     with DevicePool(1) as pool:
         device = pool.devices[0]
 
         def blocker(dev):
+            started.set()
             gate.wait(timeout=30)
             return "survived"
 
@@ -48,6 +50,9 @@ def test_reset_cancels_queued_jobs_deterministically():
             )
             for i in range(3)
         ]
+        # The blocker must be running, not queued, before the reset:
+        # a reset that beats the worker to it cancels it as queued.
+        assert started.wait(timeout=10)
 
         # Release the in-flight job just after the reset starts waiting
         # for the worker to go idle.

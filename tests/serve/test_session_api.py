@@ -1,10 +1,12 @@
 """Session/KernelService submission surface: futures, lifecycles, backends."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.apps import Adam, XSBench
-from repro.errors import CancelledError, ServeError, SessionClosed
+from repro.errors import CancelledError, SchedulerError, ServeError, SessionClosed
 from repro.gpu.launch import LaunchConfig
 from repro.resilience import ResilientPool
 from repro.sched import DevicePool
@@ -184,3 +186,15 @@ class TestExternalBackends:
     def test_non_pool_backend_is_refused(self):
         with pytest.raises(ServeError, match="PoolProtocol"):
             KernelService(backend=object())
+
+    def test_resilient_verify2_on_one_device_is_refused(self):
+        # The owned one-device pool cannot cross-check; the refusal must
+        # also tear that pool down rather than leak its worker thread.
+        def pool_workers():
+            return {t for t in threading.enumerate()
+                    if t.name.startswith("pool-dev")}
+
+        before = pool_workers()
+        with pytest.raises(SchedulerError, match="verify=2"):
+            KernelService(devices=1, resilient=True, verify=2)
+        assert pool_workers() <= before

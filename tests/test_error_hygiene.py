@@ -94,19 +94,6 @@ def test_lint_covers_the_serve_package():
     } <= serve_files
 
 
-def test_lint_covers_the_tune_package():
-    # And for repro.tune: the autotuner's refusals (TuneError,
-    # PlanCacheError) are part of the same contract — a corrupted cache
-    # file must warn-and-rebuild, and anything the tuner *does* raise
-    # must be classifiable with ``except ReproError``.
-    tune_files = {p.name for p in sorted(SRC_ROOT.rglob("*.py"))
-                  if p.parent.name == "tune"}
-    assert {
-        "__init__.py", "state.py", "key.py", "cache.py", "tuner.py",
-        "session.py", "overhead.py",
-    } <= tune_files
-
-
 def test_lint_covers_the_cluster_package():
     # And for repro.cluster: worker processes ship their failures back
     # over a pipe as pickled exceptions, so every raise there must stay
@@ -165,17 +152,6 @@ def test_heartbeat_timeout_pickles_with_deadline_fields():
     assert clone.deadline_s == 2.0
     assert clone.last_seen_s == 3.7
     assert isinstance(clone, errors.WorkerLost)
-
-
-def test_tune_errors_slot_into_the_hierarchy():
-    # Callers classify tuning misconfiguration with `except TuneError`
-    # and cache misuse with `except PlanCacheError`; both must stay
-    # rooted at ReproError so `except ReproError` call sites keep
-    # working, and PlanCacheError must be catchable as a TuneError.
-    assert issubclass(errors.TuneError, errors.ReproError)
-    assert issubclass(errors.PlanCacheError, errors.TuneError)
-    for name in ("TuneError", "PlanCacheError"):
-        assert name in errors.__all__
 
 
 def test_serve_errors_slot_into_the_hierarchy():
