@@ -35,13 +35,19 @@ per launch by :func:`repro.gpu.engine.select_engine`:
   written against the portable ``select``/``load``/``store``/``loop_max``
   intrinsics run as whole NumPy arrays, either fused across blocks
   (sync-free ``"vector"`` mode) or one block per lockstep batch with real
-  shared memory (barrier-only ``"wave"`` mode).  This is what makes
-  paper-scale launch sizes tractable.
+  shared memory (``"wave"`` mode, for barriers or shared memory).
+  Per-thread kernels run there too, as the lane-batched body the
+  lowering pass (:mod:`repro.compiler.lower`) derives from their
+  unchanged source.  This is what makes paper-scale launch sizes
+  tractable.
 
-An explicit ``LaunchConfig(engine=...)`` hint overrides the analysis;
-``vectorize=False`` on a kernel pins the legacy engines.  All engines
-produce bit-identical outputs and identical
-:class:`~repro.gpu.engine.KernelStats` for any kernel they can run.
+An explicit ``LaunchConfig(engine=...)`` hint overrides the analysis, and
+a pinned ``"vector"``/``"wave"`` runs the lowered body of per-thread
+source.  ``vectorize=False`` on a kernel forbids running its body *raw*
+on lane batches: it runs lowered when the pass takes it, else on the
+legacy ``map``/``block-thread`` split.  All engines produce bit-identical
+outputs and identical :class:`~repro.gpu.engine.KernelStats` for any
+kernel they can run.
 
 The pre-1.0 kernel-first ``launch_kernel(kernel, config, ...)`` order
 still works behind a ``DeprecationWarning`` shim; it will be removed in

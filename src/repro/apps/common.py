@@ -135,6 +135,10 @@ class ExecutionConfig:
       under ``cluster`` the chain survives SIGKILL of the supervisor
       process itself.  The session is attached to the result as
       ``result.checkpoint``.
+
+    A config that cannot be honoured is refused at construction with an
+    :class:`~repro.errors.AppError`, before any pool or worker exists
+    (see :meth:`__post_init__`).
     """
 
     variant: str = VersionLabel.OMPX
@@ -153,6 +157,46 @@ class ExecutionConfig:
     checkpoint_every: int = 1
     checkpoint_shards: Optional[int] = None
     resume: bool = False
+
+    def __post_init__(self) -> None:
+        """Refuse axes that contradict each other or cannot be honoured."""
+        if self.devices < 1:
+            raise AppError(f"devices must be >= 1, got {self.devices}")
+        if self.cluster < 0:
+            raise AppError(f"cluster must be >= 0 worker processes, got {self.cluster}")
+        if self.verify not in (1, 2):
+            raise AppError(f"verify must be 1 or 2, got {self.verify!r}")
+        if self.verify == 2 and not self.resilient:
+            raise AppError(
+                "verify=2 is the resilient pool's dual-device cross-check; "
+                "it needs resilient=True (--resilient)"
+            )
+        if self.checkpoint_every < 1:
+            raise AppError(
+                f"checkpoint_every must be >= 1 shard, got {self.checkpoint_every}"
+            )
+        if self.resume and self.checkpoint_dir is None:
+            raise AppError("resume=True requires checkpoint_dir (--checkpoint DIR)")
+        if self.pool is not None and (self.devices > 1 or self.cluster):
+            raise AppError(
+                "pool= runs on the given backend, so devices > 1 and cluster "
+                "would be ignored; pass the pool or those axes, not both"
+            )
+        if self.variant == VersionLabel.OMP:
+            sharded = [
+                axis for axis, on in (
+                    (f"devices={self.devices}", self.devices > 1),
+                    (f"cluster={self.cluster}", self.cluster > 0),
+                    ("pool", self.pool is not None),
+                    ("checkpoint_dir", self.checkpoint_dir is not None),
+                ) if on
+            ]
+            if sharded:
+                raise AppError(
+                    "the classic-OpenMP variant offloads through host mapping "
+                    "tables and cannot be sharded (" + ", ".join(sharded)
+                    + "); use the ompx or native variant"
+                )
 
 
 def run(app: "BenchmarkApp", config: Optional[ExecutionConfig] = None,
@@ -192,8 +236,6 @@ def run(app: "BenchmarkApp", config: Optional[ExecutionConfig] = None,
 
 
 def _run_with_config(app, variant, params, config: ExecutionConfig) -> FunctionalResult:
-    if config.resume and config.checkpoint_dir is None:
-        raise AppError("resume=True requires checkpoint_dir (--checkpoint DIR)")
     if config.checkpoint_dir is not None:
         return _run_checkpointed(app, variant, params, config)
     if (config.pool is None and config.cluster <= 0

@@ -45,12 +45,20 @@ class KernelFunction:
         self.sync_free = sync_free
         self.vectorize = vectorize
 
-        def adapter(ctx, *args):
-            return fn(CudaThread(ctx), *args)
+        def with_body(body: Callable) -> Callable:
+            def entry(ctx, *args):
+                return body(CudaThread(ctx), *args)
 
+            return entry
+
+        adapter = with_body(fn)
         adapter.sync_free = sync_free
         adapter.vectorize = vectorize
         adapter.fn = fn  # what engine selection / compile analysis reads
+        # The lowering pass (repro.compiler.lower) builds its lane-batched
+        # entry from these: the same façade around a generated body.
+        adapter.facade = CudaThread
+        adapter.with_body = with_body
         self._adapter = adapter
 
     @property
@@ -82,8 +90,10 @@ def kernel(
     ``vectorize=True`` vouches that the body is written against the
     portable lane-batched intrinsics (``select``/``load``/``store``/
     ``loop_max``) so the :class:`~repro.gpu.engine.WaveVectorEngine` may
-    run it; ``vectorize=False`` pins the legacy scalar engines; ``None``
-    (default) lets static analysis decide.
+    run it as written; ``vectorize=False`` says the body must never run
+    raw on lane batches (the engines then use the lowered body of
+    :mod:`repro.compiler.lower`, or a scalar engine if the pass declines
+    it); ``None`` (default) lets static analysis decide.
     """
     if fn is None:
         return lambda f: KernelFunction(

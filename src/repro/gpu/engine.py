@@ -9,16 +9,21 @@ Three functional engines execute kernels on the virtual GPU:
   independent, so they run as a plain sequential loop with no OS-thread
   overhead.  Calling any sync primitive under this engine raises
   :class:`~repro.errors.SyncError`.
-* :class:`WaveVectorEngine` — lane-batched execution for kernels the
-  static analysis (:mod:`repro.compiler.analysis`) proves vectorizable:
-  sync-free kernels run as fused NumPy index vectors spanning many blocks
-  (``"vector"`` mode); barrier-only kernels run one block per batch in
-  lockstep (``"wave"`` mode).  This is what makes paper-scale problem
-  sizes (§4's 134M-element stencil) tractable on the simulated substrate.
+* :class:`WaveVectorEngine` — lane-batched execution: sync-free kernels
+  run as fused NumPy index vectors spanning many blocks (``"vector"``
+  mode); barrier or shared-memory kernels run one block per batch in
+  lockstep (``"wave"`` mode).  It runs a body as written when static
+  analysis (:mod:`repro.compiler.analysis`) proves it batchable, and
+  otherwise the lane-batched body the lowering pass
+  (:mod:`repro.compiler.lower`) derives from the per-thread source.  This
+  is what makes paper-scale problem sizes (§4's 134M-element stencil)
+  tractable on the simulated substrate.
 
 :func:`select_engine` consults the kernel's declared flags
-(``sync_free``/``vectorize``) and static analysis to pick an engine, and
-memoizes the decision per ``(kernel, device, block shape, hint)``.
+(``sync_free``/``vectorize``), static analysis and the lowering pass to
+pick an engine, and memoizes the decision per ``(kernel, device, block
+shape, hint)``; :func:`lane_entry` names the body a lane-batched engine
+runs.
 
 Engines are deliberately *functional only*.  Timing comes from
 :mod:`repro.perf`, which consumes the launch geometry and the compiled
@@ -47,6 +52,7 @@ __all__ = [
     "MapEngine",
     "WaveVectorEngine",
     "select_engine",
+    "lane_entry",
     "clear_engine_plans",
     "plan_key",
     "describe_plan_key",
@@ -439,29 +445,68 @@ def _analyze_or_none(kernel: Callable):
         return None
 
 
+def _runs_raw(kernel: Callable, traits) -> bool:
+    """Does the kernel body run on lane batches as written?
+
+    ``vectorize=True`` vouches that it does and ``vectorize=False`` that
+    it must not; undeclared kernels qualify when the analysis proves them
+    straight-line and collective-free.
+    """
+    vectorize = getattr(kernel, "vectorize", None)
+    if vectorize is not None:
+        return bool(vectorize)
+    return (
+        traits is not None
+        and traits.vectorizable
+        and not (traits.uses_warp_collectives or traits.uses_atomics)
+    )
+
+
+def _lowering(kernel: Callable):
+    from ..compiler.lower import lower_kernel
+
+    return lower_kernel(kernel)
+
+
+def lane_entry(kernel: Callable, engine) -> Optional[Callable]:
+    """The lowered body a lane-batched ``engine`` runs instead of ``kernel``.
+
+    ``None`` means run ``kernel`` itself: the engine is scalar, the body
+    batches as written, or the lowering pass declined it.
+    """
+    if engine.name not in ("vector", "wave"):
+        return None
+    if _runs_raw(kernel, _analyze_or_none(kernel)):
+        return None
+    return _lowering(kernel).entry
+
+
 def _plan(kernel: Callable) -> Engine:
     """Decide the engine for one kernel from its flags and static traits."""
     sync_free = bool(getattr(kernel, "sync_free", False))
-    vectorize = getattr(kernel, "vectorize", None)
-    if vectorize is False:
-        return _legacy_engine(kernel)
     traits = _analyze_or_none(kernel)
-    if vectorize:
+    if getattr(kernel, "vectorize", None):
         # The author vouches for vectorizability; only pick the mode.
         cooperative = traits is not None and (traits.uses_barrier or traits.uses_shared)
         if sync_free and not cooperative:
             return _VECTOR
         return _WAVE
-    # Automatic path: only take kernels the analysis proves batchable.
-    if traits is None or traits.uses_warp_collectives or traits.uses_atomics:
-        return _legacy_engine(kernel)
-    if sync_free:
-        if traits.uses_barrier or traits.uses_shared or not traits.vectorizable:
-            return _MAP
-        return _VECTOR
-    if traits.uses_barrier and traits.vectorizable:
-        return _WAVE
-    return _BLOCK_THREAD
+    if _runs_raw(kernel, traits):
+        cooperative = traits.uses_barrier or traits.uses_shared
+        if sync_free and not cooperative:
+            return _VECTOR
+        if not sync_free and traits.uses_barrier:
+            return _WAVE
+    # Per-thread source: run the lowered body where the pass produced one.
+    # A sync-free kernel that touches barriers or shared memory is
+    # misdeclared; the map engine reports that, so it keeps it.
+    lowering = _lowering(kernel)
+    if lowering.entry is not None:
+        if sync_free and not lowering.cooperative:
+            return _VECTOR
+        if not sync_free and lowering.cooperative:
+            return _WAVE
+    return _legacy_engine(kernel)
 
 
 def select_engine(
@@ -474,10 +519,14 @@ def select_engine(
     """Pick the engine for a kernel launch.
 
     Precedence: an explicit ``hint`` (the :class:`LaunchConfig` engine
-    field) wins; a kernel declared ``vectorize=False`` keeps the legacy
-    sync-free/cooperative split; otherwise static analysis routes
-    provably-batchable kernels to the :class:`WaveVectorEngine` and
-    everything else to the scalar engines.  Decisions are memoized per
+    field) wins.  A body that batches as written (``vectorize=True``, or
+    undeclared and proven straight-line by static analysis) goes to the
+    :class:`WaveVectorEngine`.  Otherwise — including ``vectorize=False``,
+    which only forbids running the body *raw* on lane batches — a body the
+    lowering pass (:mod:`repro.compiler.lower`) lowers goes to ``vector``
+    when sync-free and to ``wave`` when it uses barriers or shared
+    memory.  Everything else keeps the legacy split: sync-free kernels on
+    ``map``, the rest on ``block-thread``.  Decisions are memoized per
     ``(kernel, device, block shape, hint)``.
     """
     if hint is not None:

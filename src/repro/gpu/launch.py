@@ -33,6 +33,7 @@ from .engine import (
     _ENGINES_BY_NAME,
     KernelStats,
     describe_plan_key,
+    lane_entry,
     select_engine,
 )
 from .stream import Stream
@@ -219,7 +220,7 @@ def launch_kernel(
         getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
     )
 
-    run_kernel = kernel
+    fault_spec = None
     plan = _fault_plan()
     if plan is not None:
         effects = plan.fire(
@@ -229,8 +230,6 @@ def launch_kernel(
             stream=config.stream.name if config.stream is not None else None,
         )
         fault_spec = effects.get("kernel_fault")
-        if fault_spec is not None:
-            run_kernel = _with_injected_fault(kernel, kernel_name, fault_spec)
         delay_s = effects.get("delay_s")
         if delay_s:
             # A hung kernel: the sleep happens on whichever thread runs
@@ -239,6 +238,12 @@ def launch_kernel(
             time.sleep(delay_s)
 
     def run_once(eng) -> KernelStats:
+        # A lane-batched engine runs the lowered body of per-thread source
+        # (repro.compiler.lower); the planned fault wraps whichever body runs.
+        lowered = lane_entry(kernel, eng)
+        run_kernel = kernel if lowered is None else lowered
+        if fault_spec is not None:
+            run_kernel = _with_injected_fault(run_kernel, kernel_name, fault_spec)
         tracer = get_tracer()
         try:
             if tracer is None:
@@ -250,6 +255,7 @@ def launch_kernel(
                 f"kernel:{kernel_name}",
                 cat="kernel",
                 engine=eng.name,
+                lowered=lowered is not None,
                 grid=list(config.grid.as_tuple()),
                 block=list(config.block.as_tuple()),
                 shared_bytes=config.shared_bytes,

@@ -119,6 +119,13 @@ class Allocation:
         return self.base + self.size
 
 
+#: Freed ranges remembered for double-free and use-after-free diagnostics.
+#: Bounded, so a long-running process (a serving tier frees on every
+#: request) does not grow without limit; an access to an older freed
+#: range still raises, with the generic "not a live allocation" message.
+_FREED_HISTORY = 1024
+
+
 class GlobalAllocator:
     """Bump allocator with a free list over a device's global memory.
 
@@ -193,6 +200,8 @@ class GlobalAllocator:
                 self._alloc_sites.pop(ptr.address, "<unknown>"),
                 _call_site(),
             )
+            if len(self._freed) > _FREED_HISTORY:
+                del self._freed[next(iter(self._freed))]  # the oldest free
 
     def _bad_free(self, ptr: DevicePointer) -> InvalidPointerError:
         """Diagnose a free() that did not hit a live allocation base.

@@ -19,9 +19,10 @@ Two lane-batching modes exist:
   satisfied structurally and only needs to count.
 
 Behavioural counters are kept *exact*: every counted operation increments
-its counter by the number of lanes, so a launch reports the same
+its counter by the number of live lanes, so a launch reports the same
 ``barriers``/``global_derefs``/``shared_declarations`` totals the scalar
-engines would.
+engines would.  All lanes are live unless a lowered body
+(:mod:`repro.compiler.lower`) narrows them with :meth:`set_live`.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class VectorThreadCtx:
 
     __slots__ = (
         "_device", "_mode", "_grid", "_bdim", "block_idx", "thread_idx",
-        "_flat", "_gflat", "_lanes", "_shared",
+        "_flat", "_gflat", "_lanes", "_live", "_shared",
         "n_barriers", "n_warp_collectives", "n_global_derefs", "n_shared_decls",
     )
 
@@ -124,6 +125,7 @@ class VectorThreadCtx:
             raise ValueError(f"unknown vector mode {mode!r}")
         self.thread_idx = _split_flat(self._flat, block_dim)
         self._lanes = int(self._flat.shape[0])
+        self._live = self._lanes
         # Behavioural counters, harvested into KernelStats by the engines.
         # Each counted call adds one per lane so launch totals match the
         # per-thread sums the scalar engines report.
@@ -142,6 +144,14 @@ class VectorThreadCtx:
     def lanes(self) -> int:
         """Number of simulated threads evaluated by this batch."""
         return self._lanes
+
+    def set_live(self, count: Optional[int]) -> None:
+        """Count later calls for ``count`` live lanes (``None``: every lane).
+
+        A lowered body calls this whenever its lane mask changes: a thread
+        that returned at the guard, or sits out a branch, makes no call.
+        """
+        self._live = self._lanes if count is None else count
 
     @property
     def block_dim(self) -> Dim3:
@@ -217,8 +227,8 @@ class VectorThreadCtx:
 
     # --- memory ----------------------------------------------------------------
     def deref(self, ptr: DevicePointer, shape, dtype) -> np.ndarray:
-        """View global memory at ``ptr`` (counted once per lane)."""
-        self.n_global_derefs += self._lanes
+        """View global memory at ``ptr`` (counted once per live lane)."""
+        self.n_global_derefs += self._live
         return self._device.allocator.view(ptr, shape, dtype)
 
     def shared_array(self, name: str, shape, dtype) -> np.ndarray:
@@ -229,7 +239,7 @@ class VectorThreadCtx:
                 "sync-free vector engine; launch it cooperatively "
                 "(sync_free=False) instead"
             )
-        self.n_shared_decls += self._lanes
+        self.n_shared_decls += self._live
         return self._shared.array(name, shape, dtype)
 
     def dynamic_shared(self, dtype) -> np.ndarray:
@@ -252,14 +262,14 @@ class VectorThreadCtx:
 
         Wave batches evaluate each statement for every lane before the next
         statement runs, so the barrier is structurally satisfied; only the
-        behavioural counter needs to advance (once per lane).
+        behavioural counter needs to advance (once per live lane).
         """
         if self._mode != "wave":
             raise SyncError(
                 "sync_threads called from a kernel launched on the sync-free "
                 "vector engine; launch it cooperatively (sync_free=False) instead"
             )
-        self.n_barriers += self._lanes
+        self.n_barriers += self._live
 
     def _no_collectives(self, what: str) -> None:
         raise SyncError(

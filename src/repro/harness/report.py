@@ -50,7 +50,9 @@ def render_trace_summary(records: Sequence[Dict[str, Any]]) -> str:
 
     Three sections, each present only when it has data: a per-kernel
     table (calls, total/mean/min/max, time share — the classic nvprof
-    "GPU activities" block), a memcpy rollup by direction, and a
+    "GPU activities" block — plus the engine each kernel ran on, marked
+    ``lowered`` when it ran the body of :mod:`repro.compiler.lower`), a
+    memcpy rollup by direction, and a
     predicted-vs-observed comparison joining the perf model's estimates
     onto measured launch spans.  This is the embedding point the harness
     report uses for traces; :meth:`repro.trace.Tracer.summary` calls it.
@@ -58,11 +60,20 @@ def render_trace_summary(records: Sequence[Dict[str, Any]]) -> str:
     out: List[str] = ["==== repro.trace profile summary ===="]
 
     kernels: Dict[str, List[float]] = {}
+    engines: Dict[str, List[str]] = {}
     predicted: Dict[str, float] = {}
     for rec in records:
         if rec.get("cat") == "kernel":
             name = rec["name"][len("kernel:"):]
             kernels.setdefault(name, []).append(rec["dur_us"] / 1e6)
+            args = rec.get("args", {})
+            if "engine" in args:
+                engine = str(args["engine"])
+                if args.get("lowered"):
+                    engine += " (lowered)"
+                seen = engines.setdefault(name, [])
+                if engine not in seen:
+                    seen.append(engine)
             if "predicted_per_launch_s" in rec.get("args", {}):
                 predicted[name] = rec["args"]["predicted_per_launch_s"]
     if kernels:
@@ -78,10 +89,11 @@ def render_trace_summary(records: Sequence[Dict[str, Any]]) -> str:
                 format_seconds(total / len(durs)),
                 format_seconds(min(durs)),
                 format_seconds(max(durs)),
+                ", ".join(engines.get(name, ())) or "-",
                 name,
             ])
         out.append(render_table(
-            ["time(%)", "total", "calls", "mean", "min", "max", "kernel"],
+            ["time(%)", "total", "calls", "mean", "min", "max", "engine", "kernel"],
             rows, title="GPU activities (kernel launches)"))
 
     vendor: Dict[str, List[Dict[str, Any]]] = {}

@@ -52,18 +52,26 @@ class BareKernel:
         self.sync_free = sync_free
         self.vectorize = vectorize
 
-        def adapter(ctx, *args):
-            facade = OmpxThread(ctx)
-            # Bind the C free-function API (repro.ompx.capi) to this
-            # thread for the duration of the body.
-            from .capi import bound
+        def with_body(body: Callable) -> Callable:
+            def entry(ctx, *args):
+                facade = OmpxThread(ctx)
+                # Bind the C free-function API (repro.ompx.capi) to this
+                # thread for the duration of the body.
+                from .capi import bound
 
-            with bound(facade):
-                return fn(facade, *args)
+                with bound(facade):
+                    return body(facade, *args)
 
+            return entry
+
+        adapter = with_body(fn)
         adapter.sync_free = sync_free
         adapter.vectorize = vectorize
         adapter.fn = fn  # what engine selection / compile analysis reads
+        # The lowering pass (repro.compiler.lower) builds its lane-batched
+        # entry from these: the same façade around a generated body.
+        adapter.facade = OmpxThread
+        adapter.with_body = with_body
         self._adapter = adapter
 
     @property
@@ -86,8 +94,10 @@ def bare_kernel(
     """Decorator marking an ompx bare-region body (``x`` façade first arg).
 
     ``vectorize`` mirrors ``@cuda.kernel``: ``True`` opts the body into the
-    lane-batched WaveVectorEngine, ``False`` pins the scalar engines,
-    ``None`` lets static analysis decide.
+    lane-batched WaveVectorEngine as written, ``False`` says it must never
+    run raw on lane batches (only as lowered by
+    :mod:`repro.compiler.lower`, else on a scalar engine), ``None`` lets
+    static analysis decide.
     """
     if fn is None:
         return lambda f: BareKernel(f, sync_free=sync_free, vectorize=vectorize)

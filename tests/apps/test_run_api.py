@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps import Adam, ExecutionConfig, VersionLabel, XSBench, run
+from repro.errors import AppError
 from repro.gpu import get_device
 from repro.resilience import RecoveryReport, ResilientPool
 from repro.sched import DevicePool
@@ -120,3 +121,50 @@ class TestRemovedRunners:
             warnings.simplefilter("error", DeprecationWarning)
             run(app, params=params)
             app.run_single(VersionLabel.OMPX, params, get_device(0))
+
+
+class TestImpossibleConfigsRefused:
+    """A config that cannot be honoured fails at construction, before any
+    pool or worker process exists, with a structured AppError."""
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"devices": 0}, "devices must be >= 1"),
+        ({"cluster": -1}, "cluster must be >= 0"),
+        ({"verify": 7}, "verify must be 1 or 2"),
+        ({"verify": 2}, "needs resilient=True"),
+        ({"checkpoint_every": 0}, "checkpoint_every must be >= 1"),
+        ({"resume": True}, "requires checkpoint_dir"),
+        ({"variant": VersionLabel.OMP, "devices": 2}, "classic-OpenMP"),
+        ({"variant": VersionLabel.OMP, "cluster": 2}, "classic-OpenMP"),
+        ({"variant": VersionLabel.OMP, "pool": object()}, "classic-OpenMP"),
+        ({"variant": VersionLabel.OMP, "checkpoint_dir": "ckpt"}, "classic-OpenMP"),
+        ({"pool": object(), "devices": 2}, "pool= runs on the given backend"),
+        ({"pool": object(), "cluster": 2}, "pool= runs on the given backend"),
+    ])
+    def test_construction_refuses(self, fields, match):
+        with pytest.raises(AppError, match=match):
+            ExecutionConfig(**fields)
+
+    @pytest.mark.parametrize("overrides", [
+        {"devices": 0}, {"verify": 7}, {"verify": 2},
+    ])
+    def test_run_refuses_instead_of_running_on_one_device(self, baseline, overrides):
+        app, params, _ = baseline
+        with pytest.raises(AppError):
+            run(app, params=params, **overrides)
+
+    def test_omp_on_a_cluster_spawns_no_worker(self, baseline, monkeypatch):
+        import repro.cluster
+
+        spawned = []
+        monkeypatch.setattr(repro.cluster, "cluster_pool",
+                            lambda *a, **k: spawned.append(a))
+        app, params, _ = baseline
+        with pytest.raises(AppError, match="classic-OpenMP"):
+            run(app, variant=VersionLabel.OMP, params=params, cluster=2)
+        assert spawned == []
+
+    def test_valid_axes_still_compose(self):
+        ExecutionConfig(devices=2, resilient=True, verify=2,
+                        checkpoint_dir="ckpt", checkpoint_every=2, resume=True)
+        ExecutionConfig(variant=VersionLabel.OMP, resilient=True)

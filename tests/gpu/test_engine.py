@@ -31,12 +31,23 @@ class TestEngineSelection:
         assert engine.name == "vector"
 
     def test_sync_free_divergent_gets_map_engine(self):
+        # A divergent body the lowering pass declines (a per-thread while
+        # loop) still runs one thread at a time on the map engine.
         def kernel(ctx):
-            if ctx.flat_thread_id == 0:
-                return
+            n = ctx.flat_thread_id
+            while n > 0:
+                n -= 1
 
         kernel.sync_free = True
         assert isinstance(select_engine(kernel), MapEngine)
+
+        # The early-exit guard alone is lowered to a lane mask.
+        def guarded(ctx):
+            if ctx.flat_thread_id == 0:
+                return
+
+        guarded.sync_free = True
+        assert select_engine(guarded).name == "vector"
 
     def test_barrier_straight_line_gets_wave_engine(self):
         def kernel(ctx):
@@ -63,12 +74,22 @@ class TestEngineSelection:
         assert info.value.hint == "warp-speed"
 
     def test_vectorize_false_keeps_legacy_split(self):
+        # vectorize=False forbids running the body raw on lane batches; a
+        # body the lowering pass declines keeps the legacy scalar split.
         def kernel(ctx):
-            pass
+            raise ValueError("declined: raise")
 
         kernel.sync_free = True
         kernel.vectorize = False
         assert isinstance(select_engine(kernel), MapEngine)
+
+        # A body the pass lowers runs lowered on the vector engine.
+        def lowered(ctx):
+            pass
+
+        lowered.sync_free = True
+        lowered.vectorize = False
+        assert select_engine(lowered).name == "vector"
 
 
 class TestBlockThreadEngine:

@@ -19,19 +19,22 @@ from repro.gpu.engine import _ENGINES_BY_NAME
 #: Engines each app kernel can legally execute on.  MapEngine and the
 #: vector mode refuse barriers, so the stencil pairs block-thread with
 #: wave; warp-/atomic-free sync-free kernels run on all three layouts.
+#: RSBench, SU3 and AIDW are per-thread source: on vector/wave they run
+#: the body the lowering pass (repro.compiler.lower) derives from it.
 ENGINE_MATRIX = {
     "XSBench": ("block-thread", "map", "vector"),
-    "RSBench": ("block-thread", "map"),
-    "SU3": ("block-thread", "map"),
-    # AIDW's interpolation kernels barrier over a divergent body (early
-    # exit on anchor hits), which only the cooperative engine supports.
-    "AIDW": ("block-thread",),
+    "RSBench": ("block-thread", "map", "vector"),
+    "SU3": ("block-thread", "map", "vector"),
+    # AIDW's interpolation kernels stage tiles in shared memory between
+    # barriers (no early exit: out-of-range threads keep staging), so
+    # they need a cooperative engine: block-thread or the lowered wave.
+    "AIDW": ("block-thread", "wave"),
     "Adam": ("block-thread", "map", "vector"),
     "Stencil 1D": ("block-thread", "wave"),
     # The §3.6 portfolio: GEMMs run in the vendor library (engine-
     # independent by construction); only the hand kernels are pinned.
     "MLPStep": ("block-thread", "map", "vector"),
-    "SU3-ET": ("block-thread", "map"),
+    "SU3-ET": ("block-thread", "map", "vector"),
 }
 
 _APPS_BY_NAME = {cls.name: cls for cls in PORTFOLIO_APPS}

@@ -86,6 +86,17 @@ class TestUseAfterFree:
         with pytest.raises(InvalidPointerError, match="use after free"):
             allocator.memcpy_d2h(out, ptr + 8)
 
+    def test_freed_history_is_bounded_and_old_frees_still_fail(self, allocator):
+        from repro.gpu.memory import _FREED_HISTORY
+
+        old = allocator.malloc(16)
+        allocator.free(old)
+        for _ in range(_FREED_HISTORY + 1):
+            allocator.free(allocator.malloc(16))
+        assert len(allocator._freed) <= _FREED_HISTORY
+        with pytest.raises(InvalidPointerError, match="does not point into a live"):
+            allocator.memcpy_d2h(np.zeros(2), old)
+
     def test_addresses_are_never_reused(self, allocator):
         ptr = allocator.malloc(32)
         allocator.free(ptr)

@@ -16,6 +16,7 @@ from repro.openmp import target_teams_parallel
 # counters harvested after the run.
 EXPECTED_ARG_KEYS = {
     "engine",
+    "lowered",
     "grid",
     "block",
     "shared_bytes",
@@ -91,6 +92,7 @@ class TestSchema:
         assert sp.args["block"] == [32, 1, 1]
         assert sp.args["threads_run"] == 64
         assert isinstance(sp.args["engine"], str) and sp.args["engine"]
+        assert isinstance(sp.args["lowered"], bool)
 
     def test_schema_identical_across_all_frontends(self, nvidia, amd):
         t = trace.enable()
