@@ -16,25 +16,33 @@ from repro.apps import PORTFOLIO_APPS, VersionLabel
 from repro.gpu import get_device
 from repro.gpu.engine import _ENGINES_BY_NAME
 
-#: Engines each app kernel can legally execute on.  MapEngine and the
-#: vector mode refuse barriers, so the stencil pairs block-thread with
-#: wave; warp-/atomic-free sync-free kernels run on all three layouts.
-#: RSBench, SU3 and AIDW are per-thread source: on vector/wave they run
-#: the body the lowering pass (repro.compiler.lower) derives from it.
+#: Engines each app kernel can legally execute on as written.  MapEngine
+#: and the vector mode refuse barriers, so the stencil pairs block-thread
+#: with wave; warp-/atomic-free sync-free kernels run on all three layouts.
 ENGINE_MATRIX = {
     "XSBench": ("block-thread", "map", "vector"),
-    "RSBench": ("block-thread", "map", "vector"),
-    "SU3": ("block-thread", "map", "vector"),
+    "RSBench": ("block-thread", "map"),
+    "SU3": ("block-thread", "map"),
     # AIDW's interpolation kernels stage tiles in shared memory between
-    # barriers (no early exit: out-of-range threads keep staging), so
-    # they need a cooperative engine: block-thread or the lowered wave.
-    "AIDW": ("block-thread", "wave"),
+    # barriers, which only the cooperative engine runs as written.
+    "AIDW": ("block-thread",),
     "Adam": ("block-thread", "map", "vector"),
     "Stencil 1D": ("block-thread", "wave"),
     # The §3.6 portfolio: GEMMs run in the vendor library (engine-
     # independent by construction); only the hand kernels are pinned.
     "MLPStep": ("block-thread", "map", "vector"),
-    "SU3-ET": ("block-thread", "map", "vector"),
+    "SU3-ET": ("block-thread", "map"),
+}
+
+#: Lane-batched engines that run the body the lowering pass
+#: (repro.compiler.lower) derives from per-thread source.  AIDW has no
+#: early exit (out-of-range threads keep staging tiles), so its barrier
+#: kernels lower to the cooperative wave layout.
+LOWERED_ENGINES = {
+    "RSBench": ("vector",),
+    "SU3": ("vector",),
+    "SU3-ET": ("vector",),
+    "AIDW": ("wave",),
 }
 
 _APPS_BY_NAME = {cls.name: cls for cls in PORTFOLIO_APPS}
@@ -97,7 +105,7 @@ def test_engines_agree_bitwise_and_on_stats(app_name, engines):
     assert all(stats.engine == base_name for stats in base_log)
     assert app.verify(base_result, params), f"{app_name} wrong under {base_name}"
 
-    for engine_name in engines[1:]:
+    for engine_name in engines[1:] + LOWERED_ENGINES.get(app_name, ()):
         result, log = _run_forced(app, params, engine_name, device)
         assert all(stats.engine == engine_name for stats in log)
         assert np.array_equal(result.output, base_result.output), (
