@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.apps import Adam, VersionLabel
-from repro.ckpt import CheckpointSession, run_checkpointed
+from repro.ckpt import CheckpointSession
 from repro.sched import DevicePool
 
 ROUNDS = 6
@@ -45,9 +45,7 @@ def _time_checkpointed(app, params, pool, directory, rounds: int) -> float:
         # A fresh session per round (fresh run, chain cleared); one
         # pool-width wave, snapshotted when it completes.
         session = CheckpointSession(str(directory / f"r{index}"), every=POOL)
-        run_checkpointed(
-            app, VersionLabel.OMPX, params, pool, session, shards=POOL
-        )
+        app.run_sharded(VersionLabel.OMPX, params, pool, session, shards=POOL)
     return time.perf_counter() - start
 
 

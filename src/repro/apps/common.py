@@ -22,7 +22,7 @@ import abc
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,10 +124,11 @@ class ExecutionConfig:
     * ``trace`` — install a process tracer for the duration when none is
       active; the tracer is attached to the result as ``result.tracer``.
     * ``checkpoint_dir``/``checkpoint_every``/``checkpoint_shards``/
-      ``resume`` — execute through :func:`repro.ckpt.run_checkpointed`:
-      the run is sharded into waves of ``checkpoint_every`` shards with
-      a crash-consistent snapshot (completed shards + fault-plan replay
-      cursor) after each wave.  ``resume=True`` restores the newest
+      ``resume`` — hand :meth:`BenchmarkApp.run_sharded` a
+      :class:`~repro.ckpt.CheckpointSession`: the run is sharded into
+      waves of ``checkpoint_every`` shards with a crash-consistent
+      snapshot (completed shards + fault-plan replay cursor) after each
+      wave.  ``resume=True`` restores the newest
       valid snapshot from ``checkpoint_dir`` and re-executes only the
       unfinished tail — bit-identical to an uninterrupted run.
       Composes with every other axis: under ``resilient`` the retry
@@ -207,8 +208,8 @@ def run(app: "BenchmarkApp", config: Optional[ExecutionConfig] = None,
     app's functional scale.  Keyword overrides are applied on top of
     ``config`` (``run(app, devices=4, resilient=True)`` works without
     building an :class:`ExecutionConfig` by hand).  The CLI
-    (``python -m repro.apps``), the serving tier (:mod:`repro.serve`)
-    and the deprecated ``run_functional*`` shims all route through here.
+    (``python -m repro.apps``) and the serving tier (:mod:`repro.serve`)
+    both route through here.
     """
     config = config or ExecutionConfig()
     if overrides:
@@ -236,15 +237,46 @@ def run(app: "BenchmarkApp", config: Optional[ExecutionConfig] = None,
 
 
 def _run_with_config(app, variant, params, config: ExecutionConfig) -> FunctionalResult:
-    if config.checkpoint_dir is not None:
-        return _run_checkpointed(app, variant, params, config)
-    if (config.pool is None and config.cluster <= 0
-            and config.devices <= 1 and not config.resilient):
+    """Run on one device, or shard through :meth:`BenchmarkApp.run_sharded`.
+
+    Every pooled backend — external pool, cluster, resilient, plain —
+    runs the same body, checkpointed when ``checkpoint_dir`` is set.  A
+    backend with a ``run_to_completion`` loop (a resilient pool) wraps
+    the body in it; because a re-entered session restores the latest
+    snapshot first, each retry of a checkpointed run replays only the
+    unfinished tail.
+    """
+    if (config.pool is None and config.cluster <= 0 and config.devices <= 1
+            and not config.resilient and config.checkpoint_dir is None):
         from ..gpu.device import resolve_placement
 
         return app.run_single(variant, params, resolve_placement(config.device))
+    session = shards = None
+    label = f"{app.name}:{variant}"
+    if config.checkpoint_dir is not None:
+        from ..ckpt import CheckpointSession
+
+        session = CheckpointSession(
+            config.checkpoint_dir, every=config.checkpoint_every
+        )
+        label, shards = f"{label}:ckpt", config.checkpoint_shards
+
+    def body(pool) -> FunctionalResult:
+        return app.run_sharded(
+            variant, params, pool, session, resume=config.resume, shards=shards
+        )
+
     with _backend(config) as pool:
-        return _run_on_pool(app, variant, params, pool)
+        # getattr, not isinstance: benchmark harnesses wrap pools in
+        # attribute-forwarding proxies.
+        run_to_completion = getattr(pool, "run_to_completion", None)
+        if run_to_completion is not None:
+            result = run_to_completion(body, label=label)
+        else:
+            result = body(pool)
+    if session is not None:
+        result.checkpoint = session
+    return result
 
 
 @contextmanager
@@ -292,52 +324,6 @@ def _backend(config: ExecutionConfig):
             pool, verify=config.verify, seed=seed, report=config.report
         ) as rpool:
             yield rpool
-
-
-def _run_checkpointed(app, variant, params, config: ExecutionConfig) -> FunctionalResult:
-    """Execute through the ckpt runner on the configured backend.
-
-    The checkpoint strategy subsumes the plain sharded/clustered paths
-    (same shard contract, plus snapshots), so every backend — external
-    pool, cluster, resilient, plain — funnels into
-    :func:`repro.ckpt.run_checkpointed`.  A resilient backend wraps the
-    whole body in ``run_to_completion``; because a re-entered session
-    restores the latest snapshot first, each retry replays only the
-    unfinished tail.
-    """
-    from ..ckpt import CheckpointSession, run_checkpointed
-
-    session = CheckpointSession(
-        config.checkpoint_dir, every=config.checkpoint_every
-    )
-
-    def body(pool) -> FunctionalResult:
-        return run_checkpointed(
-            app, variant, params, pool, session,
-            resume=config.resume, shards=config.checkpoint_shards,
-        )
-
-    with _backend(config) as pool:
-        if hasattr(pool, "run_to_completion"):
-            result = pool.run_to_completion(
-                body, label=f"{app.name}:{variant}:ckpt"
-            )
-        else:
-            result = body(pool)
-    result.checkpoint = session
-    return result
-
-
-def _run_on_pool(app, variant, params, pool) -> FunctionalResult:
-    """Dispatch onto an already-built backend (plain/resilient/cluster)."""
-    if getattr(pool, "is_cluster", False):
-        return app.run_clustered(variant, params, pool)
-    if hasattr(pool, "run_to_completion"):
-        return pool.run_to_completion(
-            lambda rp: app.run_sharded(variant, params, rp),
-            label=f"{app.name}:{variant}",
-        )
-    return app.run_sharded(variant, params, pool)
 
 
 def _bind_fault_plan(pool) -> None:
@@ -449,17 +435,37 @@ class BenchmarkApp(abc.ABC):
         return checksum(output)
 
     def run_sharded(
-        self, variant: str, params: Mapping[str, object], pool
+        self,
+        variant: str,
+        params: Mapping[str, object],
+        pool,
+        session=None,
+        *,
+        resume: bool = False,
+        shards: Optional[int] = None,
     ) -> FunctionalResult:
-        """Run one variant data-parallel across a :class:`~repro.sched.DevicePool`.
+        """Run one variant data-parallel across a pool — the one sharded executor.
 
-        The default strategy shards the problem axis with
-        :meth:`shard_functional_params`, runs each shard's
-        :meth:`run_single` on its own pool worker, gathers the
-        futures, and concatenates the outputs — bit-identical to the
-        single-device run because the per-element computation never
-        crosses shard boundaries.  Stencil-1D overrides this with a true
-        halo-exchange decomposition (its windows *do* cross boundaries).
+        Shards the problem axis with :meth:`shard_functional_params`,
+        runs each shard's :meth:`run_single` on a pool worker, gathers
+        the futures, and concatenates the outputs in shard order —
+        bit-identical to the single-device run for any shard count,
+        because the per-element computation never crosses shard
+        boundaries.  ``pool`` is any :class:`~repro.sched.PoolProtocol`
+        backend: in-process, resilient or a process cluster.
+
+        With no ``session`` the run is ``shards`` (default ``len(pool)``)
+        shards in one wave.  With a
+        :class:`~repro.ckpt.CheckpointSession` the default is
+        ``max(len(pool), 4)`` shards, so even a narrow pool gets a chain
+        worth resuming; they run in waves of ``session.every`` with a
+        snapshot after each, and ``resume=True`` restores the newest
+        valid snapshot and runs only the unfinished tail (see
+        :meth:`~repro.ckpt.CheckpointSession.open_shards`).
+
+        Stencil-1D overrides this with an in-process halo exchange (its
+        windows *do* cross shard boundaries) and falls back here under a
+        session or a cluster.
         """
         from ..sched import gather
 
@@ -469,47 +475,49 @@ class BenchmarkApp(abc.ABC):
                 "tables and cannot be sharded across a DevicePool; use the "
                 "ompx or native variant"
             )
-        shards = self.shard_functional_params(params, len(pool))
-        # Shards are self-contained (each run_single call allocates,
-        # computes and downloads on whatever device it is handed), so
-        # they are submitted *unpinned*: round-robin placement spreads
-        # them one per device exactly as pinning did, but a resilient
-        # pool is free to re-place a retried shard on a surviving device.
-        # ``shard=True`` is part of the PoolProtocol signature: resilient
-        # pools count retries of these jobs as re-executed shards, plain
-        # pools accept and ignore it.
-        futures = [
-            pool.submit_call(
-                functools.partial(self.run_single, variant, sub),
-                label=f"{self.name}:shard{i}",
-                shard=True,
+        nshards = int(shards) if shards else (
+            len(pool) if session is None else max(len(pool), 4)
+        )
+        done: Dict[int, np.ndarray] = {}
+        if session is not None:
+            nshards, done = session.open_shards(
+                self, variant, params, nshards, resume=resume
             )
-            for i, sub in enumerate(shards)
-        ]
-        results = gather(futures)
-        output = np.concatenate([r.output for r in results])
+        subs = self.shard_functional_params(params, nshards)
+        # Empty chunks are dropped by repro.sched.shard, so a tiny
+        # problem can realize fewer shards than requested.
+        pending = [i for i in range(len(subs)) if i not in done]
+        size = session.every if session is not None else max(len(pending), 1)
+        # A fully restored run still commits once (one empty wave): it
+        # re-publishes its terminal snapshot.
+        waves = [pending[s : s + size] for s in range(0, len(pending), size)]
+        for wave in waves or [[]]:
+            # Shards are self-contained (each run_single call allocates,
+            # computes and downloads on whatever device it is handed), so
+            # they are submitted *unpinned*: round-robin placement spreads
+            # them one per device, a resilient pool may re-place a retried
+            # shard on a surviving device, and a cluster redispatches a
+            # lost worker's shards.  ``shard=True`` makes resilient pools
+            # count retries of these jobs as re-executed shards.
+            futures = [
+                pool.submit_call(
+                    functools.partial(self.run_single, variant, subs[i]),
+                    label=f"{self.name}:shard{i}",
+                    shard=True,
+                )
+                for i in wave
+            ]
+            for i, result in zip(wave, gather(futures)):
+                done[i] = result.output
+            if session is not None:
+                session.commit_shards(done, len(subs))
+        output = np.concatenate([done[i] for i in range(len(subs))])
         return FunctionalResult(
             variant=variant,
             output=output,
             checksum=self.result_checksum(output),
             valid=False,
         )
-
-    def run_clustered(
-        self, variant: str, params: Mapping[str, object], pool
-    ) -> FunctionalResult:
-        """Run one variant across a :class:`~repro.cluster.ClusterPool`.
-
-        Always uses the *generic* self-contained shard strategy — the
-        base :meth:`run_sharded` — never an app's in-process override:
-        Stencil-1D's halo exchange rides streams, events and peer copies
-        that cannot cross process boundaries, so under a cluster it
-        decomposes with deep ghost cells instead (see its
-        ``shard_functional_params``).  Shards are submitted unpinned, so
-        a worker lost mid-run redispatches its shards to the survivors
-        and the gathered output stays bit-identical.
-        """
-        return BenchmarkApp.run_sharded(self, variant, params, pool)
 
     # --- removed pre-1.2 entry points ----------------------------------------------
     def __getattr__(self, name: str):

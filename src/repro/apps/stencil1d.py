@@ -196,11 +196,12 @@ class Stencil1D(BenchmarkApp):
 
     # --- multi-device execution ---------------------------------------------------
     def shard_functional_params(self, params, n_shards: int):
-        """Deep-ghost decomposition for *process-isolated* execution.
+        """Deep-ghost decomposition for self-contained shards.
 
         The in-process :meth:`run_sharded` exchanges ``radius`` halo
         cells per iteration over the peer interconnect; across process
-        boundaries there is no interconnect, so each shard instead
+        boundaries there is no interconnect, and a checkpointed wave must
+        not leave device-resident state behind, so each shard instead
         carries ``radius * iterations`` ghost cells per interior side —
         enough true data for the full dependency cone of every kept cell
         over the whole iteration loop — and trims the ghosts off after
@@ -233,7 +234,10 @@ class Stencil1D(BenchmarkApp):
             start += size
         return subs
 
-    def run_sharded(self, variant: str, params, pool) -> FunctionalResult:
+    def run_sharded(
+        self, variant: str, params, pool, session=None, *,
+        resume: bool = False, shards=None,
+    ) -> FunctionalResult:
         """True domain decomposition: per-iteration halo exchange over peers.
 
         Unlike the embarrassingly parallel apps, a stencil window crosses
@@ -245,17 +249,23 @@ class Stencil1D(BenchmarkApp):
         :meth:`~repro.gpu.stream.Stream.wait_event` idiom.  All ordering
         lives in streams and events; the host never synchronizes inside
         the iteration loop.
+
+        The exchange needs peer links inside one process and keeps state
+        on the devices between iterations, so it runs only in process and
+        never checkpointed: with a ``session`` or on a cluster pool
+        (``pool.is_cluster``) the run goes through the base executor with
+        the deep-ghost shards of :meth:`shard_functional_params`.  So
+        does the ``omp`` variant, which the base executor refuses.
         """
+        if (session is not None or getattr(pool, "is_cluster", False)
+                or variant == VersionLabel.OMP):
+            return super().run_sharded(
+                variant, params, pool, session, resume=resume, shards=shards
+            )
         from ..gpu.launch import LaunchConfig, launch_kernel
         from ..ompx.host import ompx_memcpy_peer
         from ..sched import gather, shard
 
-        if variant == VersionLabel.OMP:
-            raise AppError(
-                "the classic-OpenMP stencil offloads through host mapping "
-                "tables and cannot be sharded across a DevicePool; use the "
-                "ompx or native variant"
-            )
         kernel = stencil_ompx_kernel if variant == VersionLabel.OMPX else stencil_cuda_kernel
         entry = getattr(kernel, "entry", kernel)
         n, r, block = params["n"], params["radius"], params["block"]

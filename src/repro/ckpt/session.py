@@ -3,9 +3,17 @@
 A :class:`CheckpointSession` owns one checkpoint directory and the
 policy around it — how often to snapshot (``every``), how many published
 snapshots to keep (``keep``), and what a resuming process may trust.
-The session is deliberately ignorant of *what* is being checkpointed:
-the runner hands it opaque state dicts, the session guarantees the
-durability story.
+
+It also keeps the shard state of a checkpointed run for
+:meth:`~repro.apps.BenchmarkApp.run_sharded`, which runs the shards in
+waves of ``every``: :meth:`~CheckpointSession.open_shards` restores the
+completed shard outputs and the :class:`~repro.faults.FaultPlan` replay
+cursor (trigger counters + RNG state), and
+:meth:`~CheckpointSession.commit_shards` snapshots both after each wave.
+The wave barrier makes every cut crash-consistent — no shard is half-run
+at a snapshot, so "resume" is "skip the shards the snapshot holds" — and
+the restored cursor makes a resumed run fire the *remaining* fault
+triggers exactly as the uninterrupted run would have.
 
 Three rules make the whole stack crash-consistent:
 
@@ -20,8 +28,8 @@ Three rules make the whole stack crash-consistent:
   when the entire chain is exhausted does the run restart from step
   zero (which is exactly what it would have done without checkpoints).
 * **Identity mismatches are errors.**  Resuming a chain written by a
-  different run (other app/variant/params/shard-count/fault-plan) would
-  silently compute garbage; that raises
+  different run (other app/variant/params/shard-count/fault-plan, see
+  :func:`run_identity`) would silently compute garbage; that raises
   :class:`~repro.errors.CheckpointError` instead.
 """
 
@@ -29,16 +37,49 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from ..digest import digest
 from ..errors import CheckpointError, CorruptCheckpointError, ReproError
 from . import format as fmt
 
-__all__ = ["CheckpointSession"]
+__all__ = ["CheckpointSession", "run_identity"]
+
+
+def run_identity(
+    app, variant: str, params: Mapping[str, object], nshards: int
+) -> Dict[str, Any]:
+    """The resume-compatibility fingerprint recorded in every snapshot.
+
+    Two runs may share a checkpoint chain only when they would compute
+    the same shards in the same order: same app class, variant,
+    parameter digest, shard count, and — because snapshots carry the
+    fault-plan cursor — the same fault plan (seed + rules).  Parameters
+    :func:`~repro.digest.digest` cannot fingerprint weaken the check to
+    presence-only rather than blocking checkpointing.
+    """
+    from ..faults import active_plan
+
+    plan = active_plan()
+    return {
+        "app": (type(app).__module__, type(app).__qualname__, app.name),
+        "variant": variant,
+        "params": digest(params),
+        "nshards": int(nshards),
+        "fault_plan": None
+        if plan is None
+        else (plan.seed, tuple(rule.key for rule in plan.rules)),
+    }
 
 
 class CheckpointSession:
-    """Policy + chain management for one checkpoint directory."""
+    """Policy, chain management and sharded-run state for one directory.
+
+    Hand one to :meth:`~repro.apps.BenchmarkApp.run_sharded` (or pass
+    ``checkpoint_dir=`` to :func:`repro.apps.run`) to checkpoint a run;
+    the executor calls :meth:`open_shards` once and
+    :meth:`commit_shards` after every wave.
+    """
 
     def __init__(
         self,
@@ -80,6 +121,11 @@ class CheckpointSession:
         #: must restore the latest snapshot even when the original call
         #: was a fresh run — the retry is a continuation, not a restart.
         self.began = False
+        # The open sharded run (see open_shards): its identity, requested
+        # shard count, and how many shards the last snapshot held.
+        self._identity: Optional[Dict[str, Any]] = None
+        self._nshards = 0
+        self._committed = 0
 
     # --- writing ----------------------------------------------------------
     def commit(self, step: int, payload: Dict[str, Any]) -> Optional[str]:
@@ -179,23 +225,87 @@ class CheckpointSession:
         self._count("ckpt_resumes")
         return payload
 
+    # --- sharded runs -----------------------------------------------------
+    def open_shards(
+        self,
+        app,
+        variant: str,
+        params: Mapping[str, object],
+        nshards: int,
+        *,
+        resume: bool = False,
+    ) -> Tuple[int, Dict[int, Any]]:
+        """Open the chain for a sharded run; return ``(nshards, done)``.
+
+        ``done`` maps shard index to the output a restored snapshot
+        holds (empty for a fresh run), and a restore also rewinds the
+        active fault plan to the snapshot's cursor.  On resume the shard
+        count recorded in the chain wins over ``nshards``: it is part of
+        the identity, and re-sharding would orphan the restored outputs.
+        Re-entry on a begun session (a resilient ``run_to_completion``
+        retry) always resumes, so a retry replays only the unfinished
+        tail.
+        """
+        from ..faults import active_plan
+
+        resume = resume or self.began
+        if resume:
+            # Peek first: identity must carry the recorded shard count.
+            loaded = self.load_latest()
+            if loaded is not None:
+                recorded = loaded[1].get("meta", {}).get("identity", {})
+                if isinstance(recorded, dict) and recorded.get("nshards"):
+                    nshards = int(recorded["nshards"])
+        self._identity = run_identity(app, variant, params, nshards)
+        self._nshards = nshards
+        restored = self.begin(self._identity, resume=resume)
+        done: Dict[int, Any] = {}
+        if restored is not None:
+            state = restored["state"]
+            done = {int(k): v for k, v in state["done"].items()}
+            plan = active_plan()
+            if plan is not None and state.get("fault_cursor") is not None:
+                plan.restore_cursor(state["fault_cursor"])
+            self.note_skipped(len(done))
+        self._committed = len(done)
+        return nshards, done
+
+    def commit_shards(self, done: Mapping[int, Any], total: int) -> None:
+        """Snapshot the completed shard outputs of the open sharded run.
+
+        Called after every wave; a fully restored run calls it once with
+        nothing new, re-publishing its terminal snapshot so ``--resume``
+        of a finished run is idempotent.  ``total`` is the realized shard
+        count: the snapshot is complete when ``done`` holds all of them.
+        """
+        from ..faults import active_plan
+
+        executed = len(done) - self._committed
+        self._committed = len(done)
+        if executed:
+            self._count("ckpt_steps_executed", executed)
+        plan = active_plan()
+        cursor = None if plan is None else plan.snapshot_cursor()
+        self.commit(len(done), {
+            "meta": {"identity": self._identity, "nshards": self._nshards,
+                     "complete": len(done) == total},
+            "state": {"done": dict(done), "fault_cursor": cursor,
+                      "next": len(done)},
+        })
+
     # --- misc -------------------------------------------------------------
-    def _count(self, name: str) -> None:
+    def _count(self, name: str, delta: float = 1.0) -> None:
         from ..trace import get_tracer
 
         tracer = get_tracer()
         if tracer is not None:
-            tracer.counter(name)
+            tracer.counter(name, float(delta))
 
     def note_skipped(self, count: int) -> None:
         """Record that ``count`` completed steps were not re-executed."""
         if count:
             self.stats["steps_skipped"] += count
-            from ..trace import get_tracer
-
-            tracer = get_tracer()
-            if tracer is not None:
-                tracer.counter("ckpt_steps_skipped", float(count))
+            self._count("ckpt_steps_skipped", count)
 
     def summary(self) -> str:
         """One-line human rendering of the session's counters."""

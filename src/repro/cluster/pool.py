@@ -37,13 +37,13 @@ from ..errors import (
     CancelledError,
     ClusterError,
     HeartbeatTimeout,
-    SchedulerError,
     WorkerLost,
 )
 from ..gpu.device import A100_SPEC, DeviceSpec
 from ..gpu.memory import DevicePointer
 from ..resilience.health import HealthTracker
 from ..resilience.report import RecoveryReport
+from ..sched.future import Future
 from ..trace import get_tracer
 from .worker import READY_SEQ, WorkerConfig, _fence, _worker_main
 
@@ -93,41 +93,26 @@ class DeviceProxy:
         )
 
 
-class ClusterFuture:
+class ClusterFuture(Future):
     """The result handle for one cluster submission.
 
-    Mirrors :class:`~repro.sched.KernelFuture`'s caller surface (``wait``
-    / ``result`` / ``exception`` / ``done`` / ``cancelled``) so
-    :func:`repro.sched.gather` and the serve dispatchers work unchanged.
-    ``attempts`` counts dispatches — a redispatch after a worker loss
-    shows up exactly like a resilient retry.  Completion is
-    first-writer-wins: a worker completing a job the supervisor already
-    redispatched is dropped as stale.
+    Shares :class:`~repro.sched.KernelFuture`'s caller surface through
+    the :class:`~repro.sched.Future` base, so :func:`repro.sched.gather`
+    and the serve dispatchers work unchanged.  ``attempts`` counts
+    dispatches — a redispatch after a worker loss shows up exactly like
+    a resilient retry.  Completion is first-writer-wins: a worker
+    completing a job the supervisor already redispatched is dropped as
+    stale.
     """
 
     def __init__(self, label: str, device: DeviceProxy, *,
                  pinned: bool) -> None:
-        self.label = label
+        super().__init__(label)
         self.device = device
         self.track = f"worker:{device.rank}"
         self.pinned = pinned
         self.attempts = 0
-        self._done = threading.Event()
-        self._lock = threading.Lock()
-        self._result = None
-        self._exception: Optional[BaseException] = None
 
-    # --- supervisor side ----------------------------------------------------
-    def _settle(self, result=None, exc: Optional[BaseException] = None) -> bool:
-        with self._lock:
-            if self._done.is_set():
-                return False
-            self._result = result
-            self._exception = exc
-            self._done.set()
-            return True
-
-    # --- caller side --------------------------------------------------------
     def cancel(self, reason: str = "cancelled", *,
                retryable: bool = False) -> bool:
         """Resolve to :class:`CancelledError` if not already completed."""
@@ -137,53 +122,8 @@ class ClusterFuture:
             retryable=retryable,
         ))
 
-    def cancelled(self) -> bool:
-        """True once the future resolved to a :class:`CancelledError`."""
-        return self._done.is_set() and isinstance(
-            self._exception, CancelledError
-        )
-
-    def done(self) -> bool:
-        """True once a result, error or cancellation has landed."""
-        return self._done.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until resolved (or ``timeout``); True when resolved."""
-        return self._done.wait(timeout)
-
-    def exception(
-        self, timeout: Optional[float] = None
-    ) -> Optional[BaseException]:
-        """The failure this job resolved to, or ``None`` on success.
-
-        Raises :class:`~repro.errors.SchedulerError` if the job does
-        not complete within ``timeout`` seconds.
-        """
-        if not self._done.wait(timeout):
-            raise SchedulerError(
-                f"future {self.label!r} on super-device "
-                f"{self.device.ordinal} did not complete within {timeout}s"
-            )
-        return self._exception
-
-    def result(self, timeout: Optional[float] = None):
-        """The job's return value; re-raises its failure if it has one."""
-        exc = self.exception(timeout)
-        if exc is not None:
-            raise exc
-        return self._result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = (
-            "pending" if not self._done.is_set()
-            else "cancelled" if self.cancelled()
-            else "failed" if self._exception is not None
-            else "done"
-        )
-        return (
-            f"<ClusterFuture {self.label!r} on super-device "
-            f"{self.device.ordinal} ({state})>"
-        )
+    def _describe(self) -> str:
+        return f"future {self.label!r} on super-device {self.device.ordinal}"
 
 
 class _Job:

@@ -35,7 +35,7 @@ from ..errors import (
 )
 from ..gpu.device import Device
 from ..gpu.launch import LaunchConfig, launch_kernel
-from ..sched import DevicePool, KernelFuture
+from ..sched import DevicePool, Future, KernelFuture
 from .health import HEALTHY, QUARANTINED, RETIRED, SUSPECT, HealthTracker
 from .policy import RetryPolicy, exception_chain
 from .report import RecoveryReport
@@ -108,14 +108,15 @@ def _is_context_fault(exc: BaseException) -> bool:
     )
 
 
-class ResilientFuture:
+class ResilientFuture(Future):
     """A future whose failures are healed and retried before you see them.
 
     Resolution is lazy and runs on the waiting thread: ``wait``/
     ``result``/``exception`` drive the retry loop (heal the device,
     back off, resubmit) until the job succeeds, exhausts
-    ``policy.max_attempts``, or fails un-retryably.  Compatible with
-    :func:`repro.sched.gather`.
+    ``policy.max_attempts``, or fails un-retryably, and then settle the
+    :class:`~repro.sched.Future` base with the final outcome.
+    Compatible with :func:`repro.sched.gather`.
     """
 
     def __init__(
@@ -127,14 +128,13 @@ class ResilientFuture:
         label: str,
         shard: bool = False,
     ) -> None:
+        super().__init__(label)
         self._rpool = rpool
         self._fn = fn
         self._pinned = inner_index
         self._shard = shard
-        self.label = label
         self.attempts = 0
         self._resolve_lock = threading.Lock()
-        self._outcome: Optional[tuple] = None
         self._inner = self._submit_attempt(inner_index)
 
     # --- submission ---------------------------------------------------------
@@ -159,11 +159,8 @@ class ResilientFuture:
 
     @property
     def track(self) -> str:
+        """The trace track of the most recent attempt."""
         return self._inner.track
-
-    def done(self) -> bool:
-        """Whether the retry sequence has reached a final outcome."""
-        return self._outcome is not None
 
     # --- resolution ---------------------------------------------------------
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -171,43 +168,23 @@ class ResilientFuture:
         out-waits ``timeout`` (the timeout bounds each attempt, not the
         whole retry sequence — healing and backoff are unbounded work)."""
         with self._resolve_lock:
-            return self._resolve(timeout)
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """The final exception after retries (or ``None`` on success)."""
-        if not self.wait(timeout):
-            raise SchedulerError(
-                f"resilient future {self.label!r} did not complete within "
-                f"{timeout}s (attempt {self.attempts})"
-            )
-        kind, payload = self._outcome
-        return payload if kind == "err" else None
-
-    def result(self, timeout: Optional[float] = None):
-        """The final value; re-raises the final (post-retry) exception."""
-        exc = self.exception(timeout)
-        if exc is not None:
-            raise exc
-        return self._outcome[1]
-
-    def _resolve(self, timeout: Optional[float]) -> bool:
-        while self._outcome is None:
-            if not self._inner.wait(timeout):
-                return False
-            exc = self._inner.exception()
-            if exc is None:
-                value = self._inner.result()
-                if self._verify_ok(value):
-                    self._outcome = ("ok", value)
-                continue
-            self._on_failure(exc)
-        return True
+            while not self.done():
+                if not self._inner.wait(timeout):
+                    return False
+                exc = self._inner.exception()
+                if exc is None:
+                    value = self._inner.result()
+                    if self._verify_ok(value):
+                        self._settle(result=value)
+                    continue
+                self._on_failure(exc)
+            return True
 
     def _on_failure(self, exc: BaseException) -> None:
         rpool = self._rpool
         policy = rpool.policy
         if not policy.is_retryable(exc) or self.attempts >= policy.max_attempts:
-            self._outcome = ("err", exc)
+            self._settle(exc=exc)
             return
         failed_index = rpool._inner_index_of(self._inner.device)
         healed = rpool.heal_device(failed_index, exc, seen_generation=self._gen)
@@ -216,7 +193,7 @@ class ResilientFuture:
             # up earlier); with that device retired the retry cannot
             # mean anything — surface the original failure and let the
             # run-level recovery re-decompose over the survivors.
-            self._outcome = ("err", exc)
+            self._settle(exc=exc)
             return
         rpool.report.record(
             "retries",
@@ -231,7 +208,7 @@ class ResilientFuture:
         except SchedulerError as placement_exc:
             # No healthy devices remain: the retry is impossible.
             placement_exc.__cause__ = exc
-            self._outcome = ("err", placement_exc)
+            self._settle(exc=placement_exc)
 
     # --- verify=2 shadow execution ------------------------------------------
     def _verify_ok(self, value) -> bool:
@@ -266,13 +243,10 @@ class ResilientFuture:
             f"{shadow.device.ordinal} disagree",
         )
         if self.attempts >= rpool.policy.max_attempts:
-            self._outcome = (
-                "err",
-                GpuError(
-                    f"verify=2 cross-check for {self.label!r} still "
-                    f"disagrees after {self.attempts} attempts"
-                ),
-            )
+            self._settle(exc=GpuError(
+                f"verify=2 cross-check for {self.label!r} still "
+                f"disagrees after {self.attempts} attempts"
+            ))
             return False
         # Re-run the primary on a fresh placement; both devices are now
         # suspect, so neither result is trusted as-is.
@@ -281,12 +255,8 @@ class ResilientFuture:
         self._inner = self._submit_attempt(None)
         return False
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "pending" if self._outcome is None else self._outcome[0]
-        return (
-            f"<ResilientFuture {self.label!r} attempts={self.attempts} "
-            f"({state})>"
-        )
+    def _describe(self) -> str:
+        return f"resilient future {self.label!r} (attempt {self.attempts})"
 
 
 class ResilientPool:
@@ -569,7 +539,6 @@ class ResilientPool:
         fn: Callable[["ResilientPool"], object],
         *,
         label: str = "run",
-        shards: Optional[int] = None,
     ):
         """Execute ``fn(self)``, healing and re-running on retryable failure.
 
@@ -579,8 +548,8 @@ class ResilientPool:
         reset — poisoned ones through the full quarantine/canary cycle,
         clean ones with a plain reset to reclaim buffers and peer links
         the aborted run leaked — so the re-execution starts from the same
-        state the first run did.  ``shards`` sets how many re-executed
-        shards each re-run counts (default: the surviving device count).
+        state the first run did.  Each re-run counts the surviving device
+        count as re-executed shards.
         """
         attempt = 1
         while True:
@@ -598,8 +567,7 @@ class ResilientPool:
                     f"{type(exc).__name__}",
                 )
                 self._heal_all(exc)
-                count = shards if shards is not None \
-                    else len(self.health.active_indices())
+                count = len(self.health.active_indices())
                 self.report.record(
                     "reexecuted_shards",
                     f"{label}: re-running {count} shard(s)",

@@ -9,6 +9,8 @@ first-class devices).
 
 - :class:`DevicePool` / :class:`KernelFuture` — N devices, one worker
   thread each, futures-based submission with pluggable placement.
+- :class:`Future` — the first-writer-wins base every backend's result
+  handle (kernel, resilient, cluster, serve) builds on.
 - :class:`PoolProtocol` — the structural typing surface both
   :class:`DevicePool` and :class:`~repro.resilience.ResilientPool`
   satisfy, so layers above (the app sharding helpers, ``repro.serve``)
@@ -21,12 +23,14 @@ first-class devices).
 
 from typing import Callable, List, Optional, Protocol, runtime_checkable
 
+from .future import Future
 from .model import ScalingEstimate, estimate_scaling
 from .pool import DevicePool, KernelFuture
 from .shard import gather, shard
 
 __all__ = [
     "DevicePool",
+    "Future",
     "KernelFuture",
     "PoolProtocol",
     "ScalingEstimate",

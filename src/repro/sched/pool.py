@@ -28,7 +28,6 @@ the kernels (and their queued/exec stream spans) nested under it.
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 import warnings
@@ -44,19 +43,15 @@ from ..gpu.device import (
 )
 from ..gpu.launch import LaunchConfig, launch_kernel
 from ..trace import get_tracer
+from .future import Future
 
 __all__ = ["KernelFuture", "DevicePool"]
-
-_future_ids = itertools.count(1)
 
 #: What ``DevicePool(placement=...)`` accepts.
 PlacementPolicy = Union[str, Callable[["DevicePool"], Device]]
 
-#: Future lifecycle states (internal).
-_PENDING, _RUNNING, _DONE = "pending", "running", "done"
 
-
-class KernelFuture:
+class KernelFuture(Future):
     """The result handle for one pool submission.
 
     Resolves to the job's return value (for kernel submissions, the
@@ -67,22 +62,17 @@ class KernelFuture:
     trace track pool workers span under, for joining futures against a
     Perfetto export).
 
-    Completion is first-writer-wins: once the future is done its result
-    never changes, so a worker finishing a job the watchdog already timed
-    out (or a caller already cancelled) is recorded as a stale completion
-    rather than a second answer.
+    Completion is first-writer-wins (see :class:`~repro.sched.Future`):
+    a worker finishing a job the watchdog already timed out (or a caller
+    already cancelled) is recorded as a stale completion rather than a
+    second answer.
     """
 
     def __init__(self, label: str, device: Device) -> None:
-        self.label = label
+        super().__init__(label)
         self.device = device
         self.track = f"device:{device.ordinal}"
-        self._id = next(_future_ids)
-        self._done = threading.Event()
-        self._result = None
-        self._exception: Optional[BaseException] = None
-        self._state = _PENDING
-        self._state_lock = threading.Lock()
+        self._started = False
         #: Invoked (no args) when a completion arrives after the future
         #: is already done — e.g. the worker finishing a job the watchdog
         #: timed out.  The resilience layer counts these.
@@ -91,44 +81,25 @@ class KernelFuture:
 
     # --- worker side --------------------------------------------------------
     def _start(self) -> bool:
-        """Transition pending -> running; ``False`` if already cancelled."""
-        with self._state_lock:
-            if self._state != _PENDING:
+        """Claim the job (pending -> running); ``False`` if already
+        claimed, cancelled or timed out."""
+        with self._lock:
+            if self._started or self._event.is_set():
                 return False
-            self._state = _RUNNING
+            self._started = True
             return True
 
-    def _set_result(self, value) -> bool:
-        """Record success; ``False`` (stale, dropped) if already done."""
-        with self._state_lock:
-            if self._state == _DONE:
-                self._notify_stale()
-                return False
-            self._state = _DONE
-            self._result = value
-        self._done.set()
+    def _settle(self, result=None, exc: Optional[BaseException] = None) -> bool:
+        if not super()._settle(result, exc):
+            callback = self.stale_callback
+            if callback is not None:
+                callback()
+            return False
         self._invoke_callbacks()
         return True
-
-    def _set_exception(self, exc: BaseException) -> bool:
-        """Record failure; ``False`` (stale, dropped) if already done."""
-        with self._state_lock:
-            if self._state == _DONE:
-                self._notify_stale()
-                return False
-            self._state = _DONE
-            self._exception = exc
-        self._done.set()
-        self._invoke_callbacks()
-        return True
-
-    def _notify_stale(self) -> None:
-        callback = self.stale_callback
-        if callback is not None:
-            callback()
 
     def _invoke_callbacks(self) -> None:
-        with self._state_lock:
+        with self._lock:
             callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             try:
@@ -152,8 +123,8 @@ class KernelFuture:
         pool worker.  The cluster tier uses this to stream results back
         over a pipe without a waiter thread per job.
         """
-        with self._state_lock:
-            if self._state != _DONE:
+        with self._lock:
+            if not self._event.is_set():
                 self._callbacks.append(fn)
                 return
         fn(self)
@@ -168,54 +139,21 @@ class KernelFuture:
         that is the watchdog's department).  The owning worker skips
         cancelled jobs when it dequeues them.
         """
-        with self._state_lock:
-            if self._state != _PENDING:
-                return False
-            self._state = _DONE
-            self._exception = CancelledError(
-                f"job {self.label!r} on device {self.device.ordinal}: {reason}",
-                retryable=retryable,
-            )
-        self._done.set()
+        if not self._start():
+            return False
+        cancelled = CancelledError(
+            f"job {self.label!r} on device {self.device.ordinal}: {reason}",
+            retryable=retryable,
+        )
+        # Settle through the base: a cancel that loses to a watchdog
+        # timeout in between is not a stale completion.
+        if not Future._settle(self, exc=cancelled):
+            return False
         self._invoke_callbacks()
         return True
 
-    def cancelled(self) -> bool:
-        """Whether the future resolved to a :class:`CancelledError`."""
-        return self._done.is_set() and isinstance(self._exception, CancelledError)
-
-    def done(self) -> bool:
-        """Whether the job has finished (successfully or not)."""
-        return self._done.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the job finishes; ``False`` on timeout."""
-        return self._done.wait(timeout)
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """The job's exception (or ``None``), waiting for completion first."""
-        if not self._done.wait(timeout):
-            raise SchedulerError(
-                f"future {self.label!r} on device {self.device.ordinal} did "
-                f"not complete within {timeout}s"
-            )
-        return self._exception
-
-    def result(self, timeout: Optional[float] = None):
-        """The job's return value; re-raises the job's exception."""
-        exc = self.exception(timeout)
-        if exc is not None:
-            raise exc
-        return self._result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = (
-            "pending" if not self._done.is_set()
-            else "cancelled" if self.cancelled()
-            else "failed" if self._exception is not None
-            else "done"
-        )
-        return f"<KernelFuture #{self._id} {self.label!r} on dev{self.device.ordinal} ({state})>"
+    def _describe(self) -> str:
+        return f"future {self.label!r} on device {self.device.ordinal}"
 
 
 class DevicePool:

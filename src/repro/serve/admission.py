@@ -286,16 +286,6 @@ class AdmissionController:
             self._cond.notify_all()
             return drained
 
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        """Block until no request is queued or inflight anywhere."""
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: self._queued_total == 0 and all(
-                    t.inflight == 0 for t in self.tenants.values()
-                ),
-                timeout,
-            )
-
     # --- introspection ------------------------------------------------------
     @property
     def closed(self) -> bool:

@@ -4,9 +4,9 @@ The serving tier collapses identical concurrent submissions onto a
 single execution and fans the result out to every waiter — the
 MPS-daemon behaviour that makes N tenants requesting the same kernel
 cost one launch.  Two submissions are *identical* when their coalesce
-keys match: a structural digest of the kernel identity, the launch
-geometry, and the argument **values** (not object identities, so two
-tenants building equal arrays coalesce).
+keys match: a structural digest (:func:`repro.digest.digest`) of the
+kernel identity, the launch geometry, and the argument **values** (not
+object identities, so two tenants building equal arrays coalesce).
 
 Safety rule: anything whose value cannot be digested — device pointers,
 open streams, arbitrary host objects, a submission bound to an explicit
@@ -18,51 +18,11 @@ tenant's state into another's result.
 
 from __future__ import annotations
 
-import hashlib
-from collections.abc import Mapping, Sequence
 from typing import Optional, Tuple
 
-import numpy as np
+from ..digest import digest
 
-__all__ = ["digest", "kernel_key", "app_key"]
-
-
-def digest(value) -> Optional[Tuple]:
-    """A hashable structural fingerprint of ``value``, or ``None`` if opaque.
-
-    Digestable: ``None``, booleans, numbers, strings, bytes, NumPy
-    arrays (shape + dtype + content hash), and tuples/lists/mappings of
-    digestable values.  Anything else — device pointers, handles,
-    callables, app objects — returns ``None``, which poisons the whole
-    containing key: the submission is executed privately.
-    """
-    if value is None:
-        return ("none",)
-    if isinstance(value, np.ndarray):
-        body = hashlib.sha256()
-        body.update(np.ascontiguousarray(value).tobytes())
-        return ("ndarray", value.shape, str(value.dtype), body.hexdigest())
-    if isinstance(value, (bool, int, float, complex, str, bytes)):
-        return ("scalar", type(value).__name__, value)
-    if isinstance(value, np.generic):
-        return ("scalar", str(value.dtype), value.item())
-    if isinstance(value, Mapping):
-        items = []
-        for key in sorted(value, key=repr):
-            sub = digest(value[key])
-            if sub is None:
-                return None
-            items.append((repr(key), sub))
-        return ("mapping", tuple(items))
-    if isinstance(value, Sequence):
-        items = []
-        for element in value:
-            sub = digest(element)
-            if sub is None:
-                return None
-            items.append(sub)
-        return ("seq", tuple(items))
-    return None
+__all__ = ["kernel_key", "app_key"]
 
 
 def _kernel_identity(kernel) -> Tuple[str, str]:

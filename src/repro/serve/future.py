@@ -1,6 +1,6 @@
 """ServeFuture: the client-side handle for one serving-tier submission.
 
-Same single-assignment discipline as :class:`~repro.sched.KernelFuture`
+Same single-assignment discipline as every :class:`~repro.sched.Future`
 — the first writer (dispatcher result, dispatcher exception, client
 cancel) wins and later completions are dropped — but the failure a
 ServeFuture resolves to is always the *tenant's own* outcome: the
@@ -11,16 +11,16 @@ attributable to this submission.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Optional
 
 from ..errors import CancelledError, ServeError
+from ..sched.future import Future
 
 __all__ = ["ServeFuture"]
 
 
-class ServeFuture:
+class ServeFuture(Future):
     """The result handle one :class:`~repro.serve.Session` submission returns.
 
     ``tenant`` and ``label`` identify the submission; ``coalesced`` is
@@ -32,39 +32,14 @@ class ServeFuture:
     aggregates into percentiles.
     """
 
+    timeout_error = ServeError
+
     def __init__(self, tenant: str, label: str) -> None:
+        super().__init__(label)
         self.tenant = tenant
-        self.label = label
         self.coalesced = False
         self.submitted_s = time.monotonic()
-        self.done_s: Optional[float] = None
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._result = None
-        self._exception: Optional[BaseException] = None
 
-    # --- dispatcher side ----------------------------------------------------
-    def _set_result(self, value) -> bool:
-        """Record success; ``False`` (stale, dropped) if already resolved."""
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._result = value
-            self.done_s = time.monotonic()
-            self._event.set()
-        return True
-
-    def _set_exception(self, exc: BaseException) -> bool:
-        """Record failure; ``False`` (stale, dropped) if already resolved."""
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._exception = exc
-            self.done_s = time.monotonic()
-            self._event.set()
-        return True
-
-    # --- client side --------------------------------------------------------
     def cancel(self, reason: str = "cancelled by client") -> bool:
         """Resolve the future with a :class:`CancelledError` if still open.
 
@@ -74,41 +49,9 @@ class ServeFuture:
         completion is dropped as stale, exactly like a pool future the
         watchdog timed out.
         """
-        return self._set_exception(
-            CancelledError(
-                f"serve job {self.label!r} (tenant {self.tenant}): {reason}"
-            )
-        )
-
-    def cancelled(self) -> bool:
-        """Whether the future resolved to a :class:`CancelledError`."""
-        return self._event.is_set() and isinstance(
-            self._exception, CancelledError
-        )
-
-    def done(self) -> bool:
-        """Whether the submission has a final outcome."""
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until resolved; ``False`` on timeout."""
-        return self._event.wait(timeout)
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """The submission's exception (or ``None``), waiting first."""
-        if not self._event.wait(timeout):
-            raise ServeError(
-                f"serve job {self.label!r} (tenant {self.tenant}) did not "
-                f"complete within {timeout}s"
-            )
-        return self._exception
-
-    def result(self, timeout: Optional[float] = None):
-        """The submission's value; re-raises the tenant's own failure."""
-        exc = self.exception(timeout)
-        if exc is not None:
-            raise exc
-        return self._result
+        return self._settle(exc=CancelledError(
+            f"serve job {self.label!r} (tenant {self.tenant}): {reason}"
+        ))
 
     @property
     def latency_s(self) -> Optional[float]:
@@ -117,15 +60,5 @@ class ServeFuture:
             return None
         return self.done_s - self.submitted_s
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = (
-            "pending" if not self._event.is_set()
-            else "cancelled" if self.cancelled()
-            else "failed" if self._exception is not None
-            else "done"
-        )
-        extra = " coalesced" if self.coalesced else ""
-        return (
-            f"<ServeFuture {self.label!r} tenant={self.tenant}{extra} "
-            f"({state})>"
-        )
+    def _describe(self) -> str:
+        return f"serve job {self.label!r} (tenant {self.tenant})"

@@ -330,7 +330,7 @@ class KernelService:
             written = future._set_exception(exc) if failed \
                 else future._set_result(value)
             if written:
-                self._record_outcome(future.tenant, failed)
+                self._tally_result(future.tenant, failed)
                 self._journal_done(future)
         for future in resubmit:
             self._resubmit(future, request)
@@ -366,10 +366,10 @@ class KernelService:
             self._admission.submit(tenant, retry, count_submitted=False)
         except ReproError as refused:
             if future._set_exception(refused):
-                self._record_outcome(future.tenant, True)
+                self._tally_result(future.tenant, True)
                 self._journal_done(future)
 
-    def _record_outcome(self, tenant_name: str, failed: bool) -> None:
+    def _tally_result(self, tenant_name: str, failed: bool) -> None:
         key = "failed" if failed else "completed"
         self._admission.bump(tenant_name, key)
         trace_count(f"serve_{key}")
@@ -625,7 +625,7 @@ class KernelService:
                 )
                 for future in request.futures:
                     if future._set_exception(refused):
-                        self._record_outcome(future.tenant, True)
+                        self._tally_result(future.tenant, True)
         stuck = []
         for worker in self._workers:
             worker.join(timeout=timeout)

@@ -35,7 +35,7 @@ def crashing_checkpointed_cluster_run(
     live workers, queued futures and an open fault plan.
     """
     from repro import faults
-    from repro.ckpt import CheckpointSession, run_checkpointed
+    from repro.ckpt import CheckpointSession
     from repro.cluster import cluster_pool
 
     app = app_by_name(app_name)
@@ -52,11 +52,11 @@ def crashing_checkpointed_cluster_run(
     try:
         if fault_spec:
             with faults.inject(fault_spec):
-                run_checkpointed(
-                    app, "ompx", params, pool, session, shards=4
+                app.run_sharded(
+                    "ompx", params, pool, session, shards=4
                 )
         else:
-            run_checkpointed(app, "ompx", params, pool, session, shards=4)
+            app.run_sharded("ompx", params, pool, session, shards=4)
     finally:
         pool.close()
     raise AssertionError("the supervisor was supposed to die mid-run")

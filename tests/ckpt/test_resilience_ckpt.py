@@ -5,7 +5,7 @@ import pytest
 
 from repro import faults
 from repro.apps import Stencil1D, XSBench, run
-from repro.ckpt import CheckpointSession, run_checkpointed
+from repro.ckpt import CheckpointSession
 from repro.errors import GpuError
 from repro.gpu.device import get_device
 from repro.resilience import RecoveryReport, ResilientPool
@@ -41,8 +41,8 @@ def test_retry_resumes_from_last_checkpoint_not_step_zero(tmp_path):
         with DevicePool(2) as pool:
             with ResilientPool(pool, report=report) as rpool:
                 result = rpool.run_to_completion(
-                    lambda p: run_checkpointed(
-                        app, "ompx", params, p, session, shards=4
+                    lambda p: app.run_sharded(
+                        "ompx", params, p, session, shards=4
                     ),
                     label="xsbench:ckpt",
                 )

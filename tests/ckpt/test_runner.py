@@ -1,10 +1,10 @@
-"""run_checkpointed: bit-identical resume, wave cadence, identity rules."""
+"""Checkpointed run_sharded: bit-identical resume, wave cadence, identity rules."""
 
 import numpy as np
 import pytest
 
 from repro.apps import PORTFOLIO_APPS, Stencil1D, XSBench, run
-from repro.ckpt import CheckpointSession, run_checkpointed
+from repro.ckpt import CheckpointSession
 from repro.errors import AppError, CheckpointError
 from repro.gpu.device import get_device
 from repro.sched import DevicePool
@@ -40,7 +40,7 @@ class TestBitIdentity:
         expected = _single(app, params)
         session = CheckpointSession(str(tmp_path), every=2)
         with DevicePool(2) as pool:
-            result = run_checkpointed(app, "ompx", params, pool, session)
+            result = app.run_sharded("ompx", params, pool, session)
         assert np.array_equal(result.output, expected.output)
         assert result.checksum == expected.checksum
         assert session.stats["writes"] >= 1
@@ -53,12 +53,12 @@ class TestBitIdentity:
         crashed = CheckpointSession(str(tmp_path), on_commit=_crash_after(1))
         with DevicePool(2) as pool:
             with pytest.raises(_Boom):
-                run_checkpointed(app, "ompx", params, pool, crashed, shards=4)
+                app.run_sharded("ompx", params, pool, crashed, shards=4)
         # A fresh process resumes and completes the remaining shards.
         session = CheckpointSession(str(tmp_path))
         with DevicePool(2) as pool:
-            result = run_checkpointed(
-                app, "ompx", params, pool, session, resume=True
+            result = app.run_sharded(
+                "ompx", params, pool, session, resume=True
             )
         assert np.array_equal(result.output, expected.output)
         assert session.stats["resumed_step"] == 1
@@ -74,12 +74,12 @@ class TestResumeSemantics:
         crashed = CheckpointSession(str(tmp_path), on_commit=_crash_after(2))
         with DevicePool(2) as pool:
             with pytest.raises(_Boom):
-                run_checkpointed(app, "ompx", params, pool, crashed, shards=4)
+                app.run_sharded("ompx", params, pool, crashed, shards=4)
         tracer = trace_mod.enable()
         try:
             session = CheckpointSession(str(tmp_path))
             with DevicePool(2) as pool:
-                run_checkpointed(app, "ompx", params, pool, session, resume=True)
+                app.run_sharded("ompx", params, pool, session, resume=True)
         finally:
             trace_mod.disable()
         assert session.stats["steps_skipped"] == 2
@@ -93,14 +93,14 @@ class TestResumeSemantics:
         crashed = CheckpointSession(str(tmp_path), on_commit=_crash_after(1))
         with DevicePool(2) as pool:
             with pytest.raises(_Boom):
-                run_checkpointed(app, "ompx", params, pool, crashed, shards=6)
+                app.run_sharded("ompx", params, pool, crashed, shards=6)
         # Resume with a *different* pool width and no explicit shards=;
         # the chain's recorded nshards=6 must win or the restored shard
         # outputs would be orphaned.
         session = CheckpointSession(str(tmp_path))
         with DevicePool(3) as pool:
-            result = run_checkpointed(
-                app, "ompx", params, pool, session, resume=True
+            result = app.run_sharded(
+                "ompx", params, pool, session, resume=True
             )
         assert np.array_equal(result.output, expected.output)
 
@@ -110,11 +110,11 @@ class TestResumeSemantics:
         expected = _single(app, params)
         first = CheckpointSession(str(tmp_path))
         with DevicePool(2) as pool:
-            run_checkpointed(app, "ompx", params, pool, first, shards=4)
+            app.run_sharded("ompx", params, pool, first, shards=4)
         session = CheckpointSession(str(tmp_path))
         with DevicePool(2) as pool:
-            result = run_checkpointed(
-                app, "ompx", params, pool, session, resume=True
+            result = app.run_sharded(
+                "ompx", params, pool, session, resume=True
             )
         assert np.array_equal(result.output, expected.output)
         assert session.stats["steps_skipped"] == 4
@@ -130,9 +130,9 @@ class TestResumeSemantics:
         session = CheckpointSession(str(tmp_path), on_commit=_crash_after(2))
         with DevicePool(2) as pool:
             with pytest.raises(_Boom):
-                run_checkpointed(app, "ompx", params, pool, session, shards=4)
+                app.run_sharded("ompx", params, pool, session, shards=4)
             session.on_commit = None
-            result = run_checkpointed(app, "ompx", params, pool, session, shards=4)
+            result = app.run_sharded("ompx", params, pool, session, shards=4)
         assert np.array_equal(result.output, expected.output)
         assert session.stats["steps_skipped"] == 2
 
@@ -143,14 +143,14 @@ class TestIdentity:
         params = dict(app.functional_params())
         first = CheckpointSession(str(tmp_path))
         with DevicePool(2) as pool:
-            run_checkpointed(app, "ompx", params, pool, first, shards=4)
+            app.run_sharded("ompx", params, pool, first, shards=4)
         other = dict(params)
         other["steps"] = int(other.get("steps", 1)) + 1
         session = CheckpointSession(str(tmp_path))
         with DevicePool(2) as pool:
             with pytest.raises(CheckpointError, match="different run"):
-                run_checkpointed(
-                    app, "ompx", other, pool, session, resume=True
+                app.run_sharded(
+                    "ompx", other, pool, session, resume=True
                 )
 
     def test_omp_variant_cannot_be_checkpointed(self, tmp_path):
@@ -158,8 +158,8 @@ class TestIdentity:
         session = CheckpointSession(str(tmp_path))
         with DevicePool(2) as pool:
             with pytest.raises(AppError, match="cannot be sharded"):
-                run_checkpointed(
-                    app, "omp", app.functional_params(), pool, session
+                app.run_sharded(
+                    "omp", app.functional_params(), pool, session
                 )
 
 

@@ -114,7 +114,7 @@ class TestIntegratedResume:
         plan; the resumed run's fault log must extend the snapshot's
         cursor into *exactly* the uninterrupted run's log."""
         from repro.apps import XSBench
-        from repro.ckpt import CheckpointSession, run_checkpointed
+        from repro.ckpt import CheckpointSession
         from repro.gpu.device import get_device
         from repro.sched import DevicePool
 
@@ -127,8 +127,8 @@ class TestIntegratedResume:
         with faults.inject(spec) as plan:
             with DevicePool(1) as pool:
                 session = CheckpointSession(str(tmp_path / "a"), every=1)
-                uninterrupted = run_checkpointed(
-                    app, "ompx", params, pool, session, shards=4
+                uninterrupted = app.run_sharded(
+                    "ompx", params, pool, session, shards=4
                 )
             expected_log = list(plan.log)
         assert plan.fired >= 1  # the plan must actually matter
@@ -146,16 +146,16 @@ class TestIntegratedResume:
             with DevicePool(1) as pool:
                 crashed = CheckpointSession(directory, on_commit=crash)
                 with pytest.raises(_Boom):
-                    run_checkpointed(
-                        app, "ompx", params, pool, crashed, shards=4
+                    app.run_sharded(
+                        "ompx", params, pool, crashed, shards=4
                     )
 
         # Fresh process: fresh plan instance, cursor restored from disk.
         with faults.inject(spec) as replay:
             with DevicePool(1) as pool:
                 resumed_session = CheckpointSession(directory)
-                resumed = run_checkpointed(
-                    app, "ompx", params, pool, resumed_session, resume=True
+                resumed = app.run_sharded(
+                    "ompx", params, pool, resumed_session, resume=True
                 )
             assert list(replay.log) == expected_log
         assert np.array_equal(resumed.output, clean.output)

@@ -316,19 +316,6 @@ class TestRunToCompletion:
             assert report["resets"] == 2
             assert report["reexecuted_shards"] == 2
 
-    def test_explicit_shard_count(self, pool):
-        calls = {"n": 0}
-
-        def run(rpool):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise GpuError("boom")
-            return "ok"
-
-        with ResilientPool(pool, seed=1) as rpool:
-            rpool.run_to_completion(run, label="r", shards=7)
-            assert rpool.report["reexecuted_shards"] == 7
-
     def test_unretryable_failure_propagates_immediately(self, pool):
         calls = {"n": 0}
 

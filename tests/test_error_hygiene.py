@@ -271,7 +271,7 @@ def test_lint_covers_the_ckpt_package():
     ckpt_files = {p.name for p in sorted(SRC_ROOT.rglob("*.py"))
                   if p.parent.name == "ckpt"}
     assert {
-        "__init__.py", "format.py", "session.py", "runner.py", "journal.py",
+        "__init__.py", "format.py", "session.py", "journal.py",
     } <= ckpt_files
 
 
