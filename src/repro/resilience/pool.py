@@ -55,6 +55,11 @@ def _canary_kernel(ctx, out, n):
         view[i] = float(i + 1)
 
 
+# No barrier, shared memory, collective or atomic: declared sync-free, the
+# lowered body runs on ``vector``; undeclared it would stay on block-thread.
+_canary_kernel.sync_free = True
+
+
 def _canary_probe(device: Device):
     """malloc + launch + readback + compare: is this device usable again?"""
     alloc = device.allocator
