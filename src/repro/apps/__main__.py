@@ -402,10 +402,6 @@ def _run_serve(app, flags, run_params) -> int:
             if recovered:
                 print(f"  re-admitted {len(recovered)} journaled "
                       f"submission(s) from {flags.checkpoint}")
-        if plan is not None and not flags.cluster:
-            plan.bind_devices(
-                {i: d.ordinal for i, d in enumerate(service.devices)}
-            )
         sessions = [
             service.session(f"tenant{i}") for i in range(flags.tenants)
         ]

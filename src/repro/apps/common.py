@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -266,7 +266,15 @@ def _run_with_config(app, variant, params, config: ExecutionConfig) -> Functiona
             variant, params, pool, session, resume=config.resume, shards=shards
         )
 
-    with _backend(config) as pool:
+    from ..backend import open_pool
+
+    # An external pool is the caller's to close; open_pool closes its own.
+    backend = nullcontext(config.pool) if config.pool is not None else open_pool(
+        config.devices, cluster=config.cluster, placement=config.placement,
+        resilient=config.resilient, verify=config.verify, seed=config.seed,
+        report=config.report,
+    )
+    with backend as pool:
         # getattr, not isinstance: benchmark harnesses wrap pools in
         # attribute-forwarding proxies.
         run_to_completion = getattr(pool, "run_to_completion", None)
@@ -277,74 +285,6 @@ def _run_with_config(app, variant, params, config: ExecutionConfig) -> Functiona
     if session is not None:
         result.checkpoint = session
     return result
-
-
-@contextmanager
-def _backend(config: ExecutionConfig):
-    """Yield the pool a sharded or checkpointed run executes on.
-
-    An external ``config.pool`` is yielded as is and never closed.  A
-    ``cluster`` is built by :func:`repro.cluster.cluster_pool` (which may
-    degrade to an in-process pool) and closed on exit.  Otherwise a fresh
-    :class:`~repro.sched.DevicePool` gets the active fault plan bound to
-    its devices and, when ``resilient``, is wrapped in a
-    :class:`~repro.resilience.ResilientPool`.
-    """
-    if config.pool is not None:
-        yield config.pool
-        return
-    seed = config.seed if config.seed is not None else _active_plan_seed()
-    if config.cluster > 0:
-        from ..cluster import cluster_pool
-        from ..faults import active_plan
-
-        pool = cluster_pool(
-            config.cluster,
-            resilient=config.resilient,
-            verify=config.verify,
-            seed=seed,
-            report=config.report,
-            plan=active_plan(),
-        )
-        try:
-            yield pool
-        finally:
-            pool.close()
-        return
-    from ..sched import DevicePool
-
-    with DevicePool(config.devices, placement=config.placement) as pool:
-        _bind_fault_plan(pool)
-        if not config.resilient:
-            yield pool
-            return
-        from ..resilience import ResilientPool
-
-        with ResilientPool(
-            pool, verify=config.verify, seed=seed, report=config.report
-        ) as rpool:
-            yield rpool
-
-
-def _bind_fault_plan(pool) -> None:
-    """Re-map ``device=`` fault selectors onto the pool's live ordinals.
-
-    Spec-level selectors mean *pool indices* whenever a pool is in play
-    (the CLI contract since PR 5), so the same spec kills a plain pooled
-    run and is survived by a resilient one.
-    """
-    from ..faults import active_plan
-
-    plan = active_plan()
-    if plan is not None:
-        plan.bind_devices({i: d.ordinal for i, d in enumerate(pool.devices)})
-
-
-def _active_plan_seed() -> int:
-    from ..faults import active_plan
-
-    plan = active_plan()
-    return plan.seed if plan is not None else 0
 
 
 #: The pre-1.2 runner trio, removed after its DeprecationWarning cycle;

@@ -39,6 +39,7 @@ from ..errors import (
     HeartbeatTimeout,
     WorkerLost,
 )
+from ..faults import active_plan
 from ..gpu.device import A100_SPEC, DeviceSpec
 from ..gpu.memory import DevicePointer
 from ..resilience.health import HealthTracker
@@ -129,13 +130,11 @@ class ClusterFuture(Future):
 class _Job:
     """One dispatchable unit: pre-pickled payload plus its future."""
 
-    __slots__ = ("payload", "future", "local_device")
+    __slots__ = ("payload", "future")
 
-    def __init__(self, payload: bytes, future: ClusterFuture,
-                 local_device: Optional[int]) -> None:
+    def __init__(self, payload: bytes, future: ClusterFuture) -> None:
         self.payload = payload
         self.future = future
-        self.local_device = local_device  # pinned local index, or None
 
 
 class _WorkerHandle:
@@ -181,10 +180,10 @@ class ClusterPool:
     device-level healing *inside* workers under process-level
     supervision outside them.
 
-    ``plan`` (a :class:`~repro.faults.FaultPlan` or spec string) is
-    pickled to every worker and re-bound so ``device=`` selectors address
-    super-device indices; note fault trigger counters then count per
-    worker process.
+    The fault plan active at construction (:func:`repro.faults.inject`)
+    is pickled to every worker and re-bound so ``device=`` selectors
+    address super-device indices; note fault trigger counters then count
+    per worker process.
     """
 
     is_cluster = True
@@ -204,7 +203,6 @@ class ClusterPool:
         max_redispatch: int = 3,
         restart: bool = True,
         spawn_timeout_s: float = 30.0,
-        plan=None,
     ) -> None:
         if specs is None:
             if workers <= 0:
@@ -259,13 +257,8 @@ class ClusterPool:
         self._closing = False
         self._closed = False
 
-        plan_bytes = None
-        if plan is not None:
-            from ..faults import FaultPlan
-
-            if isinstance(plan, str):
-                plan = FaultPlan.parse(plan)
-            plan_bytes = pickle.dumps(plan)
+        plan = active_plan()
+        plan_bytes = pickle.dumps(plan) if plan is not None else None
 
         # Assign super-device indices in rank order: worker 0's devices
         # first, then worker 1's, so `--cluster 3` numbers its
@@ -317,7 +310,8 @@ class ClusterPool:
             self._teardown_processes()
             if isinstance(exc, ClusterError):
                 # Spawning failed outright: callers that can fall back to
-                # an in-process pool (see ``cluster_pool``) key off this.
+                # an in-process pool (see ``repro.backend.open_pool``) key
+                # off this.
                 exc.degradable = True
                 raise
             wrapped = ClusterError(f"cluster failed to start: {exc}")
@@ -534,7 +528,7 @@ class ClusterPool:
                 self._proxy_for(handle.rank),
                 pinned=True,
             )
-            job = _Job(pickle.dumps({"kind": "canary"}), probe, None)
+            job = _Job(pickle.dumps({"kind": "canary"}), probe)
             self._dispatch(handle, job)
             probe.result(timeout=self._spawn_timeout_s)
         except Exception as exc:  # noqa: BLE001 - retire on any failure
@@ -586,11 +580,9 @@ class ClusterPool:
     def _dispatch(self, handle: _WorkerHandle, job: _Job) -> None:
         job_id = next(_job_ids)
         job.future.attempts += 1
-        # Rewrite the payload's pinned device and re-point the future's
-        # proxy at the target worker so redispatches land correctly.
-        spec = pickle.loads(job.payload)
-        spec["device"] = job.local_device
-        payload = pickle.dumps(spec)
+        # Re-point the future's proxy at the target worker so redispatches
+        # land correctly.  The payload never changes: only unpinned jobs
+        # move, and they carry no local device.
         if job.future.device.rank != handle.rank:
             job.future.device = next(
                 p for p in self._proxies if p.rank == handle.rank
@@ -599,7 +591,7 @@ class ClusterPool:
         with self._lock:
             handle.inflight[job_id] = job
         self._trace_count("dispatches")
-        if not handle.send(("job", job_id, payload)):
+        if not handle.send(("job", job_id, job.payload)):
             # The pipe died under us; the loss path redispatches the
             # orphans it swept.  If the loss was handled *before* our
             # inflight insert, this job missed that sweep — pull it
@@ -686,6 +678,9 @@ class ClusterPool:
                     f"cannot submit {label!r}: worker {proxy.rank} is "
                     f"{handle.state}"
                 )
+        # Pinned jobs never move (a lost worker fails them), so the local
+        # device is fixed here and the payload is pickled exactly once.
+        spec["device"] = proxy.local_index if pinned else None
         try:
             payload = pickle.dumps(spec)
         except Exception as exc:  # noqa: BLE001 - any pickling failure
@@ -694,11 +689,7 @@ class ClusterPool:
                 f"to a worker process: {exc}"
             ) from exc
         future = ClusterFuture(label, proxy, pinned=pinned)
-        job = _Job(
-            payload, future,
-            proxy.local_index if pinned else None,
-        )
-        self._dispatch(handle, job)
+        self._dispatch(handle, _Job(payload, future))
         return future
 
     def submit_call(

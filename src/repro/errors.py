@@ -94,10 +94,9 @@ class LaunchError(GpuError):
             base = f"{base} (hint: {self.hint})"
         return base
 
-    # Structured context must survive pickling (stream workers hand errors
-    # across threads; test harnesses hand them across processes).  The
-    # default BaseException reduction re-calls ``cls(*args)``, which would
-    # drop every keyword-only field, so reduce to (message, state) instead.
+    # Equality compares the structured context too, so an error that
+    # crossed a pickle boundary (the default BaseException reduction
+    # carries ``__dict__``) compares equal to the original, field by field.
     def _state(self) -> dict:
         return {
             "engine": self.engine,
@@ -106,12 +105,6 @@ class LaunchError(GpuError):
             "hint": self.hint,
             "key": self.key,
         }
-
-    def __reduce__(self):
-        return (type(self), (self.args[0] if self.args else "",), self._state())
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -175,12 +168,6 @@ class KernelFault(GpuError):
             "address": self.address,
             "injected": self.injected,
         }
-
-    def __reduce__(self):
-        return (type(self), (self.args[0] if self.args else "",), self._state())
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -391,21 +378,14 @@ class WorkerLost(ClusterError):
             extra.append(f"jobs_lost={self.jobs_lost}")
         return f"{base} [{', '.join(extra)}]" if extra else base
 
-    # Workers hand these across process boundaries; like LaunchError, the
-    # structured context must survive pickling, so reduce to
-    # (message, state) instead of the default cls(*args) re-call.
+    # Workers hand these across process boundaries; like LaunchError,
+    # equality is field-sensitive so a round-tripped error compares equal.
     def _state(self) -> dict:
         return {
             "worker": self.worker,
             "reason": self.reason,
             "jobs_lost": self.jobs_lost,
         }
-
-    def __reduce__(self):
-        return (type(self), (self.args[0] if self.args else "",), self._state())
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -514,10 +494,10 @@ class _StructuredError(ReproError):
     """Shared machinery for errors whose context must survive pickling.
 
     Subclasses declare their structured context in ``_FIELDS`` and
-    inherit the (message, state) reduction, field-sensitive equality and
-    the ``[k=v, ...]`` rendering.  The default BaseException reduction
-    re-calls ``cls(*args)``, which would drop every keyword-only field,
-    so this base reduces to (message, state) instead — the same contract
+    inherit field-sensitive equality and the ``[k=v, ...]`` rendering.
+    The default BaseException reduction carries ``__dict__``, so the
+    fields survive pickling, and equality compares them, so a
+    round-tripped error equals the original — the same contract
     :class:`LaunchError` and :class:`WorkerLost` implement by hand.
 
     Not exported: catch the concrete families (:class:`VendorError`,
@@ -548,12 +528,6 @@ class _StructuredError(ReproError):
     def _state(self) -> dict:
         return {name: getattr(self, name) for name in self._FIELDS}
 
-    def __reduce__(self):
-        return (type(self), (self.args[0] if self.args else "",), self._state())
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -573,9 +547,8 @@ class VendorError(_StructuredError):
     Stream-bound handles run BLAS calls on stream worker threads and the
     cluster layer hands failures across processes, so — like
     :class:`LaunchError` — the structured context must survive pickling.
-    Subclasses declare their context in ``_FIELDS`` and inherit the
-    (message, state) reduction, field-sensitive equality and the
-    ``[k=v, ...]`` rendering.
+    Subclasses declare their context in ``_FIELDS`` and inherit
+    field-sensitive equality and the ``[k=v, ...]`` rendering.
     """
 
 

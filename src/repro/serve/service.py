@@ -35,8 +35,10 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+from contextlib import ExitStack
 from typing import Dict, List, Optional
 
+from ..backend import open_pool
 from ..errors import (
     CancelledError,
     KernelFault,
@@ -47,7 +49,7 @@ from ..errors import (
 from ..gpu.device import DeviceSpec
 from ..resilience import RecoveryReport
 from ..resilience.policy import exception_chain
-from ..sched import DevicePool, PoolProtocol
+from ..sched import PoolProtocol
 from ..trace import get_tracer
 from .admission import AdmissionController, Request, trace_count
 from .coalesce import app_key, kernel_key
@@ -66,12 +68,14 @@ class KernelService:
     :class:`~repro.resilience.ResilientPool` (with ``verify``/``seed``
     forwarded) so backend faults are healed before tenants ever see
     them.  ``cluster=N`` serves over N supervised worker *processes*
-    instead (:func:`repro.cluster.cluster_pool`, with ``resilient``
-    meaning device healing inside each worker) — lost workers are
-    quarantined and redispatched under the tenants transparently.
-    Alternatively pass ``backend=`` — anything satisfying
-    :class:`~repro.sched.PoolProtocol` — and the service will serve over
-    it without taking ownership of its lifecycle.
+    instead (with ``resilient`` meaning device healing inside each
+    worker) — lost workers are quarantined and redispatched under the
+    tenants transparently.  The owned backend is built by
+    :func:`repro.backend.open_pool`, exactly as :func:`repro.apps.run`
+    builds one, so an active fault plan's ``device=`` selectors address
+    pool indices here too.  Alternatively pass ``backend=`` — anything
+    satisfying :class:`~repro.sched.PoolProtocol` — and the service will
+    serve over it without taking ownership of its lifecycle.
 
     The service is a context manager; :meth:`close` drains queued work
     (``drain=False`` cancels it), stops the dispatchers, and tears down
@@ -96,64 +100,18 @@ class KernelService:
         max_redispatch: int = 8,
         journal_dir: Optional[str] = None,
     ) -> None:
-        #: Service-level recovery report: backend healing (when the
-        #: service owns a resilient backend) plus cross-tenant artifacts
-        #: the dispatchers absorbed.  Per-tenant reports live on the
-        #: tenants; see :meth:`session`.
-        self.report = RecoveryReport()
-        self._owned = backend is None
-        self._pool: Optional[DevicePool] = None
-        if backend is None and cluster > 0:
-            from ..cluster import cluster_pool
-            from ..faults import active_plan
-
-            backend = cluster_pool(
-                cluster,
-                specs=specs,
-                resilient=resilient,
-                verify=verify,
-                seed=seed,
-                report=self.report,
-                plan=active_plan(),
+        if max_redispatch < 1:
+            raise ServeError(
+                f"max_redispatch must be >= 1, got {max_redispatch}"
             )
-        elif backend is None:
-            self._pool = DevicePool(devices, specs=specs, placement=placement)
-            if resilient:
-                from ..resilience import ResilientPool
-
-                try:
-                    backend = ResilientPool(
-                        self._pool, verify=verify, seed=seed,
-                        report=self.report,
-                    )
-                except ReproError:
-                    self._pool.close()
-                    raise
-            else:
-                backend = self._pool
-        elif not isinstance(backend, PoolProtocol):
+        if dispatchers is not None and dispatchers < 1:
+            raise ServeError(f"dispatchers must be >= 1, got {dispatchers}")
+        if backend is not None and not isinstance(backend, PoolProtocol):
             raise ServeError(
                 f"backend must satisfy repro.sched.PoolProtocol "
                 f"(submit/submit_call/devices/close), got "
                 f"{type(backend).__name__}"
             )
-        self.backend = backend
-        self._resilient = hasattr(backend, "health")
-        if max_redispatch < 1:
-            raise ServeError(
-                f"max_redispatch must be >= 1, got {max_redispatch}"
-            )
-        self._max_redispatch = max_redispatch
-        self._request_timeout_s = request_timeout_s
-        count = dispatchers if dispatchers is not None \
-            else max(1, len(self.backend.devices))
-        if count < 1:
-            raise ServeError(f"dispatchers must be >= 1, got {count}")
-        self._admission = AdmissionController(
-            global_max_queued=global_max_queued,
-            dispatchers=count,
-            default_quota=default_quota,
-        )
         # ``journal_dir=`` journals every accepted app submission the
         # service can describe as JSON (app identity, variant, params,
         # tenant, coalescing key) and marks it done when its future is
@@ -165,6 +123,32 @@ class KernelService:
             from ..ckpt import SubmissionJournal
 
             self._journal = SubmissionJournal(journal_dir)
+        #: Service-level recovery report: backend healing (when the
+        #: service owns a resilient backend) plus cross-tenant artifacts
+        #: the dispatchers absorbed.  Per-tenant reports live on the
+        #: tenants; see :meth:`session`.
+        self.report = RecoveryReport()
+        # A refusal past this point closes the owned backend on the way
+        # out; once the service is built, close() owns it.
+        with ExitStack() as stack:
+            if backend is None:
+                backend = stack.enter_context(open_pool(
+                    devices, cluster=cluster, specs=specs,
+                    placement=placement, resilient=resilient, verify=verify,
+                    seed=seed, report=self.report,
+                ))
+            count = dispatchers if dispatchers is not None \
+                else max(1, len(backend.devices))
+            self._admission = AdmissionController(
+                global_max_queued=global_max_queued,
+                dispatchers=count,
+                default_quota=default_quota,
+            )
+            self._stack = stack.pop_all()
+        self.backend = backend
+        self._resilient = hasattr(backend, "health")
+        self._max_redispatch = max_redispatch
+        self._request_timeout_s = request_timeout_s
         self._sessions: List[Session] = []
         self._closed = False
         self._close_lock = threading.Lock()
@@ -638,11 +622,7 @@ class KernelService:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if self._owned:
-            if self.backend is not self._pool:
-                self.backend.close()
-            if self._pool is not None:
-                self._pool.close()
+        self._stack.close()
         if self._journal is not None:
             self._journal.close()
 

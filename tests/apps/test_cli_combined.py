@@ -83,6 +83,19 @@ def test_serve_composes_with_resilient_trace(tmp_path, capsys):
     assert events
 
 
+def test_serve_fault_selectors_are_pool_relative(capsys):
+    # The service binds `device=1` to its own pool device 1, so the fault
+    # fires once and the resilient backend heals it under both tenants.
+    code = main([
+        "xsbench", "--serve", "--resilient", "--devices", "2",
+        "--tenants", "2", "--faults", "launch:kernel_fault@1 device=1;seed=9",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.count("verification PASSED") == 2
+    assert "1 fault(s) injected" in out
+
+
 class TestDeviceSpecFlag:
     """--device-spec resolves a preset name to a registered ordinal."""
 

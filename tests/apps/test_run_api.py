@@ -154,10 +154,10 @@ class TestImpossibleConfigsRefused:
             run(app, params=params, **overrides)
 
     def test_omp_on_a_cluster_spawns_no_worker(self, baseline, monkeypatch):
-        import repro.cluster
+        import repro.backend
 
         spawned = []
-        monkeypatch.setattr(repro.cluster, "cluster_pool",
+        monkeypatch.setattr(repro.backend, "open_pool",
                             lambda *a, **k: spawned.append(a))
         app, params, _ = baseline
         with pytest.raises(AppError, match="classic-OpenMP"):

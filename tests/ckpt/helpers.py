@@ -35,8 +35,8 @@ def crashing_checkpointed_cluster_run(
     live workers, queued futures and an open fault plan.
     """
     from repro import faults
+    from repro.backend import open_pool
     from repro.ckpt import CheckpointSession
-    from repro.cluster import cluster_pool
 
     app = app_by_name(app_name)
     params = app.functional_params()
@@ -48,8 +48,7 @@ def crashing_checkpointed_cluster_run(
             os.kill(os.getpid(), signal.SIGKILL)
 
     session = CheckpointSession(directory, on_commit=hook)
-    pool = cluster_pool(2)
-    try:
+    with open_pool(cluster=2) as pool:
         if fault_spec:
             with faults.inject(fault_spec):
                 app.run_sharded(
@@ -57,6 +56,4 @@ def crashing_checkpointed_cluster_run(
                 )
         else:
             app.run_sharded("ompx", params, pool, session, shards=4)
-    finally:
-        pool.close()
     raise AssertionError("the supervisor was supposed to die mid-run")

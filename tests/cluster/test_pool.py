@@ -10,7 +10,8 @@ import functools
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterFuture, ClusterPool, DeviceProxy, cluster_pool
+from repro.backend import open_pool
+from repro.cluster import ClusterFuture, ClusterPool, DeviceProxy
 from repro.errors import CancelledError, ClusterError, GpuError
 from repro.gpu import LaunchConfig
 from repro.sched import DevicePool
@@ -175,7 +176,8 @@ class TestValidation:
 
     def test_misuse_errors_are_not_degradable(self):
         with pytest.raises(ClusterError):
-            cluster_pool(0)
+            with open_pool(cluster=2, specs=[]):
+                pass
 
     def test_resilient_verify2_needs_two_devices_per_worker(self, monkeypatch):
         # verify=2 cross-checks inside a worker's own pool; one device
@@ -190,7 +192,8 @@ class TestValidation:
             ClusterPool(2, resilient=True, verify=2)
         assert not getattr(info.value, "degradable", False)
         with pytest.raises(ClusterError, match="verify=2"):
-            cluster_pool(2, resilient=True, verify=2)
+            with open_pool(cluster=2, resilient=True, verify=2):
+                pass
         assert spawned == []
 
 
@@ -207,12 +210,9 @@ class TestGracefulDegradation:
             raising=True,
         )
         with pytest.warns(RuntimeWarning, match="degraded"):
-            fallback = cluster_pool(3)
-        try:
-            assert isinstance(fallback, DevicePool)
-            assert len(fallback) == 3
-        finally:
-            fallback.close()
+            with open_pool(cluster=3) as fallback:
+                assert isinstance(fallback, DevicePool)
+                assert len(fallback) == 3
 
     def test_degradation_records_a_recovery_event(self, monkeypatch):
         from repro.resilience import RecoveryReport
@@ -222,9 +222,29 @@ class TestGracefulDegradation:
         )
         report = RecoveryReport()
         with pytest.warns(RuntimeWarning):
-            fallback = cluster_pool(2, report=report)
-        fallback.close()
+            with open_pool(cluster=2, report=report):
+                pass
         assert report["degraded"] == 1
+
+    def test_degraded_resilient_run_still_heals(self, monkeypatch):
+        # The fallback keeps resilient=True: it is the same stack
+        # run(devices=2, resilient=True) builds, so the fault is healed.
+        from repro import faults
+        from repro.apps import XSBench, run
+        from repro.resilience import RecoveryReport
+
+        app = XSBench()
+        single = run(app)
+        monkeypatch.setattr(
+            ClusterPool, "__init__", _degradable_init, raising=True
+        )
+        report = RecoveryReport()
+        with faults.inject("launch:kernel_fault@1 device=1", seed=1):
+            with pytest.warns(RuntimeWarning, match="degraded"):
+                result = run(app, cluster=2, resilient=True, report=report)
+        assert np.array_equal(result.output, single.output)
+        assert report["degraded"] == 1
+        assert report["retries"] >= 1
 
 
 def _degradable_init(self, workers, **kwargs):

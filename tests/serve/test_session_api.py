@@ -198,3 +198,44 @@ class TestExternalBackends:
         with pytest.raises(SchedulerError, match="verify=2"):
             KernelService(devices=1, resilient=True, verify=2)
         assert pool_workers() <= before
+
+
+class TestOwnedBackend:
+    """The service builds its pool with repro.backend.open_pool, as run() does."""
+
+    @pytest.mark.parametrize("argument", [
+        "max_redispatch", "dispatchers", "global_max_queued",
+    ])
+    def test_refused_arguments_leave_no_pool_behind(self, argument):
+        from repro.gpu.device import registered_devices
+
+        def pool_workers():
+            return {t for t in threading.enumerate()
+                    if t.name.startswith("pool-dev")}
+
+        threads, devices = pool_workers(), set(registered_devices())
+        with pytest.raises(ServeError) as info:
+            KernelService(devices=2, **{argument: 0})
+        # ``info`` still holds the traceback here, so a pool left to
+        # garbage collection would still be running.
+        assert argument in str(info.value)
+        assert pool_workers() <= threads
+        assert set(registered_devices()) <= devices
+
+    def test_fault_selectors_address_pool_indices(self):
+        from repro import faults
+        from repro.apps import run
+
+        app = XSBench()
+        params = app.functional_params()
+        spec = "launch:kernel_fault@1 device=1"
+        with faults.inject(spec, seed=1) as plan:
+            expected = run(app, params=params, devices=2, resilient=True)
+        assert plan.fired == 1
+        with faults.inject(spec, seed=1) as plan:
+            with KernelService(devices=2, resilient=True) as service:
+                result = service.session("t0").run_app(
+                    app, params=params, timeout=60
+                )
+        assert plan.fired == 1
+        assert np.array_equal(result.output, expected.output)

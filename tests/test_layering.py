@@ -1,4 +1,5 @@
-"""Layering lint: the execution layers never import the serving tier.
+"""Layering lint: the execution layers never import the serving tier,
+and only the backend builder constructs pools.
 
 ``repro.serve`` sits on top of the stack — it drives pools, resilience,
 clusters and checkpoint journals.  If a lower layer imported it back,
@@ -8,6 +9,11 @@ serving tier; shared helpers belong in a neutral module instead, as
 identity.  The lint reads every module's import statements from its AST
 (relative imports resolved), so a lazy import inside a function counts
 too.
+
+Pools are built in one place, ``repro.backend.open_pool``, so the choice
+of pool stack and the binding of fault selectors cannot drift between
+``run()``, ``KernelService`` and the degraded cluster again; the cluster
+worker builds its own local pool inside its process.
 """
 
 import ast
@@ -17,8 +23,10 @@ import pytest
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: Packages below the serving tier.
-LOWER_LAYERS = ("gpu", "compiler", "sched", "resilience", "cluster", "ckpt")
+#: Packages and modules below the serving tier.
+LOWER_LAYERS = (
+    "gpu", "compiler", "sched", "resilience", "cluster", "ckpt", "backend.py",
+)
 
 FORBIDDEN = "repro.serve"
 
@@ -54,7 +62,8 @@ def _imports_serve(name: str) -> bool:
 
 @pytest.mark.parametrize("layer", LOWER_LAYERS)
 def test_lower_layers_do_not_import_the_serving_tier(layer):
-    files = sorted((SRC_ROOT / layer).rglob("*.py"))
+    root = SRC_ROOT / layer
+    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
     assert files, f"no modules found under repro.{layer}"
     offenders = [
         f"{path.relative_to(SRC_ROOT.parent)}:{lineno} imports {names[0]}"
@@ -73,3 +82,36 @@ def test_the_lint_resolves_relative_imports():
     sample = SRC_ROOT / "ckpt" / "session.py"
     names = {name for _, group in _imported_modules(sample) for name in group}
     assert {"repro.digest", "repro.digest.digest", "repro.errors"} <= names
+
+
+#: Pool classes only the builder (and a worker, for its own slice) calls.
+POOL_CLASSES = ("DevicePool", "ResilientPool", "ClusterPool")
+
+#: The modules allowed to call them.
+POOL_BUILDERS = ("repro/backend.py", "repro/cluster/worker.py")
+
+
+def _pool_constructions(path: Path):
+    """Yield ``(lineno, name)`` for each call of a pool class in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            # ``DevicePool(...)`` is a Name call, ``sched.DevicePool(...)``
+            # an Attribute call.
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in POOL_CLASSES:
+                yield node.lineno, name
+
+
+def test_only_the_builder_constructs_pools():
+    offenders = [
+        f"{path.relative_to(SRC_ROOT.parent)}:{lineno} calls {name}("
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        if path.relative_to(SRC_ROOT.parent).as_posix() not in POOL_BUILDERS
+        for lineno, name in _pool_constructions(path)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_construction_lint_sees_calls():
+    sample = SRC_ROOT / "backend.py"
+    assert {name for _, name in _pool_constructions(sample)} == set(POOL_CLASSES)
