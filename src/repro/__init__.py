@@ -31,7 +31,7 @@ per launch by :func:`repro.gpu.engine.select_engine`:
   full-SIMT reference for barriers, warp collectives and atomics.
 * ``"map"`` — ``sync_free`` kernels as a sequential per-thread loop.
 * ``"vector"`` / ``"wave"`` — the lane-batched
-  :class:`~repro.gpu.engine.WaveVectorEngine`: straight-line kernels
+  :class:`~repro.gpu.engine.WaveVectorEngine`: hand-batched kernels
   written against the portable ``select``/``load``/``store``/``loop_max``
   intrinsics run as whole NumPy arrays, either fused across blocks
   (sync-free ``"vector"`` mode) or one block per lockstep batch with real
@@ -41,17 +41,19 @@ per launch by :func:`repro.gpu.engine.select_engine`:
   unchanged source.  This is what makes paper-scale launch sizes
   tractable.
 
-An explicit ``LaunchConfig(engine=...)`` hint overrides the analysis, and
-a pinned ``"vector"``/``"wave"`` runs the lowered body of per-thread
-source.  ``vectorize=False`` on a kernel forbids running its body *raw*
-on lane batches: it runs lowered when the pass takes it, else on the
-legacy ``map``/``block-thread`` split.  All engines produce bit-identical
-outputs and identical :class:`~repro.gpu.engine.KernelStats` for any
-kernel they can run.
+An explicit ``LaunchConfig(engine=...)`` hint overrides the selection,
+and a pinned ``"vector"``/``"wave"`` runs the lowered body of per-thread
+source.  ``vectorize`` has two values: ``True`` runs a hand-batched body
+as written; the default, ``False``, is per-thread source, which reaches
+the lane-batched engines only through the lowering pass and otherwise
+stays on the legacy ``map``/``block-thread`` split.  No static-analysis
+guess runs per-thread source as written.  All engines produce
+bit-identical outputs and identical
+:class:`~repro.gpu.engine.KernelStats` for any kernel they can run.
 
 The pre-1.0 kernel-first ``launch_kernel(kernel, config, ...)`` order
 still works behind a ``DeprecationWarning`` shim; it will be removed in
-release 1.2 (see the README's deprecation timeline).
+release 1.3 (see the README's deprecation timeline).
 
 Quickstart::
 

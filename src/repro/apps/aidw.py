@@ -47,7 +47,7 @@ def idw_weight(dist: float) -> float:
     return math.pow(dist, -_ALPHA)
 
 
-@cuda.kernel(vectorize=False)
+@cuda.kernel
 def aidw_cuda_kernel(t, d_dx, d_dy, d_dz, d_ix, d_iy, d_out, dnum, inum):
     tile_size = t.blockDim.x
     sx = t.shared("sx", tile_size, np.float64)
@@ -84,7 +84,7 @@ def aidw_cuda_kernel(t, d_dx, d_dy, d_dz, d_ix, d_iy, d_out, dnum, inum):
         t.array(d_out, inum, np.float64)[gid] = num / den
 
 
-@ompx.bare_kernel(vectorize=False)
+@ompx.bare_kernel
 def aidw_ompx_kernel(x, d_dx, d_dy, d_dz, d_ix, d_iy, d_out, dnum, inum):
     tile_size = x.block_dim_x()
     sx = x.groupprivate("sx", tile_size, np.float64)
@@ -142,7 +142,7 @@ def knn_insert(best_d: np.ndarray, best_z: np.ndarray, dist: float, z: float) ->
     best_z[pos] = z
 
 
-@cuda.kernel(vectorize=False)
+@cuda.kernel
 def aidw_knn_cuda_kernel(t, d_dx, d_dy, d_dz, d_ix, d_iy, d_out, dnum, inum, k):
     """Mode 1: interpolate from the k nearest neighbours only."""
     tile_size = t.blockDim.x
@@ -184,7 +184,7 @@ def aidw_knn_cuda_kernel(t, d_dx, d_dy, d_dz, d_ix, d_iy, d_out, dnum, inum, k):
         t.array(d_out, inum, np.float64)[gid] = num / den
 
 
-@ompx.bare_kernel(vectorize=False)
+@ompx.bare_kernel
 def aidw_knn_ompx_kernel(x, d_dx, d_dy, d_dz, d_ix, d_iy, d_out, dnum, inum, k):
     """Mode 1, ompx port: the CUDA body with spellings swapped."""
     tile_size = x.block_dim_x()

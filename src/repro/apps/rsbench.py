@@ -58,7 +58,7 @@ def pole_contribution(ea: complex, rt: complex, ra: complex, sqrt_e: float, fact
     return sig_t, sig_a
 
 
-@cuda.kernel(sync_free=True, vectorize=False)
+@cuda.kernel(sync_free=True)
 def rsbench_cuda_kernel(
     t, d_ea, d_rt, d_ra, d_lval, d_pseudo, d_nucs, d_dens, d_offsets, d_counts,
     d_energies, d_mats, d_out, n_iso, n_win, ppw, n_lookups, total_nucs,
@@ -98,7 +98,7 @@ def rsbench_cuda_kernel(
     t.array(d_out, n_lookups, np.float64)[i] = macro
 
 
-@ompx.bare_kernel(sync_free=True, vectorize=False)
+@ompx.bare_kernel(sync_free=True)
 def rsbench_ompx_kernel(
     x, d_ea, d_rt, d_ra, d_lval, d_pseudo, d_nucs, d_dens, d_offsets, d_counts,
     d_energies, d_mats, d_out, n_iso, n_win, ppw, n_lookups, total_nucs,

@@ -55,7 +55,7 @@ def su3_matmul_site(a_site: np.ndarray, b_dir: np.ndarray, c_site: np.ndarray) -
             c_site[row, col] = acc
 
 
-@cuda.kernel(sync_free=True, vectorize=False)
+@cuda.kernel(sync_free=True)
 def su3_cuda_kernel(t, d_a, d_b, d_c, sites):
     site = t.blockIdx.x * t.blockDim.x + t.threadIdx.x
     if site >= sites:
@@ -72,7 +72,7 @@ def su3_cuda_kernel(t, d_a, d_b, d_c, sites):
     su3_matmul_site(a[site, 3], b[3], c[site, 3])
 
 
-@ompx.bare_kernel(sync_free=True, vectorize=False)
+@ompx.bare_kernel(sync_free=True)
 def su3_ompx_kernel(x, d_a, d_b, d_c, sites):
     site = x.block_id_x() * x.block_dim_x() + x.thread_id_x()
     if site >= sites:

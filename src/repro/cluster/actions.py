@@ -29,7 +29,7 @@ partial set.
 from __future__ import annotations
 
 import copy
-from typing import Any, Tuple
+from typing import Any, List, Tuple
 
 from ..errors import ClusterError
 
@@ -95,3 +95,19 @@ class _StoreAction(ClusterAction):
     def invoke(self, ctx) -> Any:
         ctx.store[self.key] = self.value
         return self.value
+
+
+class _ResetPoisoned(ClusterAction):
+    """Reset every poisoned device of the worker; returns their super-device
+    indices.  A device's sticky context lives in its worker process, so a
+    parent that heals a plain cluster (the serving tier does) resets there."""
+
+    def invoke(self, ctx) -> List[int]:
+        from ..ompx.host import ompx_device_reset
+
+        reset = []
+        for index, device in zip(ctx.global_indices, ctx.devices):
+            if device.is_poisoned:
+                ompx_device_reset(device=device.ordinal)
+                reset.append(index)
+        return reset

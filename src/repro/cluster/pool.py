@@ -241,6 +241,8 @@ class ClusterPool:
                     f"(or specs= with 2 per worker) or verify=1"
                 )
 
+        #: Whether each worker heals its own devices (a ResilientPool inside).
+        self.resilient = resilient
         self.report = report or RecoveryReport()
         self.report.ensure_kinds(CLUSTER_KINDS)
         self.health = HealthTracker(

@@ -22,10 +22,10 @@ worker -> parent
 Everything that crosses the pipe is pickled *by reference where it must
 be*: kernels travel as ``(module, qualname)`` pairs (decorator wrapper
 objects do not pickle), callables and :class:`ClusterAction`\\ s travel
-as ordinary pickles.  Results and exceptions are pre-pickled on the
-worker; anything unpicklable is downgraded to a descriptive
-:class:`~repro.errors.ClusterError` so the parent never loses a future
-to a serialization failure.
+as ordinary pickles.  Results and exceptions (with their cause chains)
+are pre-pickled on the worker; anything unpicklable is downgraded to a
+descriptive :class:`~repro.errors.ClusterError` so the parent never
+loses a future to a serialization failure.
 """
 
 from __future__ import annotations
@@ -100,9 +100,37 @@ def _resolve_kernel(module: str, qualname: str):
         ) from exc
 
 
+def _relink(chain: List[BaseException]) -> BaseException:
+    """Unpickle an exception sent with its cause chain (see :class:`_Chained`)."""
+    for exc, cause in zip(chain, chain[1:]):
+        exc.__cause__ = cause
+    return chain[0]
+
+
+class _Chained:
+    """Pickles an exception together with its cause chain, which pickling
+    alone drops, so the parent classifies a failure (a KernelFault behind
+    a LaunchError, say) as an in-process caller would."""
+
+    def __init__(self, exc: Optional[BaseException]) -> None:
+        self.chain: List[BaseException] = []
+        while exc is not None and len(self.chain) < 16:
+            self.chain.append(exc)
+            exc = exc.__cause__ or exc.__context__
+
+    def __reduce__(self):
+        return _relink, (self.chain,)
+
+
 def _pickle_or_error(value: Any, *, label: str) -> bytes:
-    """Pickle ``value``; fall back to a ClusterError describing why not."""
+    """Pickle ``value``, an exception with its cause chain when every link
+    pickles; fall back to a ClusterError describing why not."""
     try:
+        if isinstance(value, BaseException):
+            try:
+                return pickle.dumps(_Chained(value))
+            except Exception:  # noqa: BLE001 - an unpicklable cause: send the error alone
+                pass
         return pickle.dumps(value)
     except Exception as exc:  # noqa: BLE001 - any pickling failure
         fallback = ClusterError(

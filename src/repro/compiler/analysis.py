@@ -50,15 +50,6 @@ _FACADE_CALLS = (
     # Portable vector intrinsics (ThreadCtx and VectorThreadCtx alike).
     | {"select", "load", "store", "loop_max"}
 )
-#: Calls that are safe inside a lane-batched (vectorized) kernel body:
-#: façade intrinsics plus elementwise NumPy/math names and shape-free
-#: builtins.  Anything else defeats automatic vectorization.
-_VECTOR_SAFE_CALLS = frozenset({
-    "where", "sqrt", "abs", "fabs", "floor", "ceil", "exp", "log",
-    "minimum", "maximum", "clip", "sum", "len", "int", "float",
-    "min", "max", "range", "arange",
-    "float64", "float32", "int32", "int64", "uint32", "uint64", "dtype",
-})
 
 
 def _is_facade(name: str) -> bool:
@@ -86,10 +77,6 @@ class KernelTraits:
     device_fn_calls: int
     #: Distinct local variables assigned in the body (register candidates).
     local_vars: int
-    #: True when the body is straight-line (no branches, loops or early
-    #: returns) and every call is a façade intrinsic or an elementwise
-    #: whitelisted function — i.e. it can run lane-batched as-is.
-    vectorizable: bool = False
 
     @property
     def register_demand(self) -> int:
@@ -114,8 +101,6 @@ class _KernelVisitor(ast.NodeVisitor):
         self.atomics = False
         self.device_calls = 0
         self.locals: Set[str] = set()
-        #: Set by any construct that defeats lane-batched execution.
-        self.vector_hostile = False
 
     # --- operations -------------------------------------------------------
     def visit_BinOp(self, node: ast.BinOp) -> None:  # noqa: N802
@@ -149,11 +134,9 @@ class _KernelVisitor(ast.NodeVisitor):
 
     # --- control flow ---------------------------------------------------------
     def visit_For(self, node: ast.For) -> None:  # noqa: N802
-        self.vector_hostile = True
         self._loop(node)
 
     def visit_While(self, node: ast.While) -> None:  # noqa: N802
-        self.vector_hostile = True
         self._loop(node)
 
     def _loop(self, node) -> None:
@@ -164,35 +147,11 @@ class _KernelVisitor(ast.NodeVisitor):
 
     def visit_If(self, node: ast.If) -> None:  # noqa: N802
         self.branches += 1
-        self.vector_hostile = True
         self.generic_visit(node)
 
     def visit_IfExp(self, node: ast.IfExp) -> None:  # noqa: N802
         self.branches += 1
-        self.vector_hostile = True
         self.generic_visit(node)
-
-    def _hostile(self, node) -> None:
-        """Mark a construct that defeats lane-batched execution and recurse."""
-        self.vector_hostile = True
-        self.generic_visit(node)
-
-    # Early returns, exception handling, short-circuit booleans and
-    # comprehensions all have per-thread control flow a lane batch cannot
-    # follow.
-    visit_Return = _hostile  # noqa: N815
-    visit_Try = _hostile  # noqa: N815
-    visit_With = _hostile  # noqa: N815
-    visit_Assert = _hostile  # noqa: N815
-    visit_Raise = _hostile  # noqa: N815
-    visit_BoolOp = _hostile  # noqa: N815
-    visit_Lambda = _hostile  # noqa: N815
-    visit_ListComp = _hostile  # noqa: N815
-    visit_SetComp = _hostile  # noqa: N815
-    visit_DictComp = _hostile  # noqa: N815
-    visit_GeneratorExp = _hostile  # noqa: N815
-    visit_Yield = _hostile  # noqa: N815
-    visit_YieldFrom = _hostile  # noqa: N815
 
     # --- calls ---------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:  # noqa: N802
@@ -203,7 +162,6 @@ class _KernelVisitor(ast.NodeVisitor):
                 self.barrier = True
             elif name in _WARP_CALLS:
                 self.warp = True
-                self.vector_hostile = True
             elif name in _SHARED_CALLS:
                 self.shared = True
             elif (
@@ -212,12 +170,8 @@ class _KernelVisitor(ast.NodeVisitor):
                 or self._is_atomic_namespace(node)
             ):
                 self.atomics = True
-                self.vector_hostile = True
             elif not _is_facade(name) and not self._is_builtin(name):
                 self.device_calls += 1
-                self.vector_hostile = True
-            elif not _is_facade(name) and name not in _VECTOR_SAFE_CALLS:
-                self.vector_hostile = True
         self.generic_visit(node)
 
     @staticmethod
@@ -316,7 +270,6 @@ def _analyze_uncached(fn: Callable) -> KernelTraits:
         uses_atomics=visitor.atomics,
         device_fn_calls=visitor.device_calls,
         local_vars=len(visitor.locals),
-        vectorizable=not visitor.vector_hostile,
     )
 
 

@@ -34,12 +34,16 @@ _LANE_VARYING = frozenset({
     "flat_thread_id", "flat_block_id", "global_flat_id",
     "global_id_x", "global_id_y", "global_id_z",
 })
-#: Façade members the pass refuses: collectives, atomics, the hand-batched
-#: intrinsics (whose own masks would need merging) and escape hatches.
+#: Façade members the pass refuses: collectives, atomics, ``loop_max`` (on
+#: a lane batch the maximum over the batch, per thread its own count) and
+#: escape hatches.
 _FACADE_DECLINED = (
     _WARP_CALLS
-    | {"atomic", "load", "store", "cxx", "ctx"}
+    | {"atomic", "loop_max", "cxx", "ctx"}
 )
+#: The bounds-guarded intrinsics run as written where every lane is live;
+#: under a lane mask their own masks would need merging with it.
+_UNMASKED_ONLY = frozenset({"load", "store"})
 
 _BUILTIN_HELPERS = {
     min: "_lw_min", max: "_lw_max", int: "_lw_int", float: "_lw_float",
@@ -390,7 +394,7 @@ class _Codegen:
     # -- expressions --
     def expr(self, node: ast.expr, m) -> Tuple[List[ast.stmt], ast.expr]:
         """Lower a statement's expression: check it once, then lower it."""
-        self._check(node)
+        self._check(node, m is not None)
         return self._lower(node, m)
 
     def _lower(self, node: ast.expr, m) -> Tuple[List[ast.stmt], ast.expr]:
@@ -429,7 +433,7 @@ class _Codegen:
             raise _Decline("'and'/'or' on lane-varying values")
         raise _Decline(f"lane-varying {type(node).__name__}")
 
-    def _check(self, node: ast.expr) -> None:
+    def _check(self, node: ast.expr, masked: bool) -> None:
         """Decline constructs with no batched form, wherever they appear."""
         for sub in ast.walk(node):
             if isinstance(sub, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp,
@@ -442,7 +446,7 @@ class _Codegen:
                 continue
             if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
                     and sub.value.id == self.facade:
-                self._check_facade(sub.attr)
+                self._check_facade(sub.attr, masked)
             if isinstance(sub, ast.Call):
                 self._check_call(sub)
         for sub in ast.walk(node):
@@ -456,9 +460,11 @@ class _Codegen:
                 return True
         return False
 
-    def _check_facade(self, attr: str) -> None:
+    def _check_facade(self, attr: str, masked: bool) -> None:
         if attr in _FACADE_DECLINED or attr.startswith(_ATOMIC_PREFIXES):
             raise _Decline(f"façade member {attr!r} (collective, atomic or intrinsic)")
+        if masked and attr in _UNMASKED_ONLY:
+            raise _Decline(f"façade member {attr!r} under a lane mask")
         if not hasattr(self.facade_cls, attr):
             raise _Decline(f"façade member {attr!r} does not exist on lane batches")
         if attr in _SHARED_CALLS:
@@ -616,6 +622,8 @@ class _Codegen:
         return pre, result
 
     def ifexp(self, node: ast.IfExp, m):
+        self._check(node.body, True)
+        self._check(node.orelse, True)
         pre, test = self._lower(node.test, m)
         cond = self.tmp("c")
         pre.append(_assign(cond, _call("_lw_truth", test)))

@@ -25,16 +25,19 @@ form NumPy's scalar product computes; its SIMD array multiply differs in
 the last bit), ``math.sqrt`` maps to the correctly rounded ``np.sqrt``,
 every other libm call runs per live lane, ``min``/``max`` keep Python's tie
 and NaN rule, ``int`` truncates toward zero and ``complex(re, im)`` is built
-from its parts.  Counted façade calls (``array``, shared declarations,
-barriers) count only the lanes live at the call, so ``KernelStats`` equal
-the scalar engine's.
+from its parts.  The bounds-guarded ``load``/``store`` intrinsics run as
+written where every lane is live.  Counted façade calls (``array``,
+shared declarations, barriers) count only the lanes live at the call, so
+``KernelStats`` equal the scalar engine's.
 
 Constructs the pass cannot lower exactly are *declined* and the kernel
 stays on its scalar engine: ``while``, ``break``, ``continue``, any
 ``return`` but the top-level guard, ``try``/``with``/``raise``, per-thread
 containers (``np.full(k, ...)``, list literals), warp collectives,
-atomics, and a quotient of two Python ``complex`` values (CPython divides
-differently from NumPy).
+atomics, ``loop_max`` (a maximum over the batch, not the thread's own
+count), ``load``/``store`` under a lane mask (their own masks would need
+merging with it), and a quotient of two Python ``complex`` values
+(CPython divides differently from NumPy).
 """
 
 from __future__ import annotations

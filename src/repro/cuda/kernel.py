@@ -37,7 +37,7 @@ class KernelFunction:
         *,
         sync_free: bool = False,
         language: str = "cuda",
-        vectorize: Optional[bool] = None,
+        vectorize: bool = False,
     ) -> None:
         functools.update_wrapper(self, fn)
         self.fn = fn
@@ -79,7 +79,7 @@ def kernel(
     *,
     sync_free: bool = False,
     language: str = "cuda",
-    vectorize: Optional[bool] = None,
+    vectorize: bool = False,
 ):
     """Decorator marking a ``__global__`` kernel.
 
@@ -87,13 +87,13 @@ def kernel(
     block, unlocking the fast sequential engine.  Misuse is caught: any
     sync call under the fast engine raises ``SyncError``.
 
-    ``vectorize=True`` vouches that the body is written against the
+    ``vectorize=True`` vouches that the body is hand-batched against the
     portable lane-batched intrinsics (``select``/``load``/``store``/
     ``loop_max``) so the :class:`~repro.gpu.engine.WaveVectorEngine` may
-    run it as written; ``vectorize=False`` says the body must never run
-    raw on lane batches (the engines then use the lowered body of
-    :mod:`repro.compiler.lower`, or a scalar engine if the pass declines
-    it); ``None`` (default) lets static analysis decide.
+    run it as written.  The default, ``vectorize=False``, is per-thread
+    source: the lane-batched engines run the body
+    :mod:`repro.compiler.lower` derives from it, or a scalar engine runs
+    it when the pass declines.
     """
     if fn is None:
         return lambda f: KernelFunction(

@@ -49,20 +49,46 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
+class _FieldEquality:
+    """Field-sensitive equality for errors whose context must survive pickling.
+
+    Subclasses name their structured context in ``_FIELDS``.  The default
+    BaseException reduction carries ``__dict__``, so the fields survive
+    pickling, and equality compares them, so an error that crossed a
+    process or thread boundary equals the original, field by field.
+    """
+
+    _FIELDS: "tuple[str, ...]" = ()
+
+    def _state(self) -> dict:
+        return {name: getattr(self, name) for name in self._FIELDS}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.args == other.args and self._state() == other._state()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.args))
+
+
 class GpuError(ReproError):
     """Base class for errors raised by the virtual GPU substrate."""
 
 
-class LaunchError(GpuError):
+class LaunchError(_FieldEquality, GpuError):
     """A kernel launch configuration is invalid for the target device.
 
     Engine guard rails attach structured context so callers (and error
     messages) can name the refusing engine, its cap, the requested size
     and the suggested remediation path.  The launch path additionally
-    attaches the selected engine and the engine-plan memoization key
-    (``key``) so error text agrees with what trace spans and the profile
-    summary report for the same launch.
+    attaches the selected engine and the launch's plan key (``key``: kernel
+    name, device preset, block shape and engine hint) so error text agrees
+    with what trace spans and the profile summary report for the same
+    launch.
     """
+
+    _FIELDS = ("engine", "cap", "requested", "hint", "key")
 
     def __init__(
         self,
@@ -94,32 +120,8 @@ class LaunchError(GpuError):
             base = f"{base} (hint: {self.hint})"
         return base
 
-    # Equality compares the structured context too, so an error that
-    # crossed a pickle boundary (the default BaseException reduction
-    # carries ``__dict__``) compares equal to the original, field by field.
-    def _state(self) -> dict:
-        return {
-            "engine": self.engine,
-            "cap": self.cap,
-            "requested": self.requested,
-            "hint": self.hint,
-            "key": self.key,
-        }
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.args == other.args and self._state() == other._state()
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.args))
-
-
-class KernelFault(GpuError):
+class KernelFault(_FieldEquality, GpuError):
     """A device-side fault raised while a kernel was executing.
 
     The analogue of the CUDA/HIP "illegal address in kernel" family
@@ -132,6 +134,8 @@ class KernelFault(GpuError):
     injection framework, so retry/fallback policies can tell a scripted
     failure from an organic one.
     """
+
+    _FIELDS = ("kernel", "block", "address", "injected")
 
     def __init__(
         self,
@@ -160,26 +164,6 @@ class KernelFault(GpuError):
         if self.injected:
             extra.append("injected")
         return f"{base} [{', '.join(extra)}]" if extra else base
-
-    def _state(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "block": self.block,
-            "address": self.address,
-            "injected": self.injected,
-        }
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.args == other.args and self._state() == other._state()
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.args))
 
 
 class MemcheckError(KernelFault):
@@ -342,7 +326,7 @@ class ClusterError(SchedulerError):
     """
 
 
-class WorkerLost(ClusterError):
+class WorkerLost(_FieldEquality, ClusterError):
     """A cluster worker process died (or was declared dead) with jobs on it.
 
     The cross-process analogue of a retired device: supervision detected
@@ -353,6 +337,8 @@ class WorkerLost(ClusterError):
     jobs pinned to the lost worker's devices, jobs over the redispatch
     budget, or any job when no workers survive.
     """
+
+    _FIELDS = ("worker", "reason", "jobs_lost")
 
     def __init__(
         self,
@@ -378,27 +364,6 @@ class WorkerLost(ClusterError):
             extra.append(f"jobs_lost={self.jobs_lost}")
         return f"{base} [{', '.join(extra)}]" if extra else base
 
-    # Workers hand these across process boundaries; like LaunchError,
-    # equality is field-sensitive so a round-tripped error compares equal.
-    def _state(self) -> dict:
-        return {
-            "worker": self.worker,
-            "reason": self.reason,
-            "jobs_lost": self.jobs_lost,
-        }
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.args == other.args and self._state() == other._state()
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.args))
-
 
 class HeartbeatTimeout(WorkerLost):
     """A worker missed its liveness deadline (hung, not crashed).
@@ -410,6 +375,8 @@ class HeartbeatTimeout(WorkerLost):
     that expired and when the worker was last heard from, because a hung
     worker — unlike a dead one — is also force-killed to reclaim it.
     """
+
+    _FIELDS = WorkerLost._FIELDS + ("deadline_s", "last_seen_s")
 
     def __init__(
         self,
@@ -435,13 +402,6 @@ class HeartbeatTimeout(WorkerLost):
         if self.last_seen_s is not None:
             extra.append(f"last_seen={self.last_seen_s:.3f}s ago")
         return f"{base} [{', '.join(extra)}]" if extra else base
-
-    def _state(self) -> dict:
-        state = super()._state()
-        state.update(
-            {"deadline_s": self.deadline_s, "last_seen_s": self.last_seen_s}
-        )
-        return state
 
 
 class ServeError(ReproError):
@@ -490,21 +450,16 @@ class SessionClosed(ServeError):
     """A submission arrived on a closed :class:`repro.serve.Session`."""
 
 
-class _StructuredError(ReproError):
-    """Shared machinery for errors whose context must survive pickling.
+class _StructuredError(_FieldEquality, ReproError):
+    """Errors built from their ``_FIELDS`` alone.
 
     Subclasses declare their structured context in ``_FIELDS`` and
-    inherit field-sensitive equality and the ``[k=v, ...]`` rendering.
-    The default BaseException reduction carries ``__dict__``, so the
-    fields survive pickling, and equality compares them, so a
-    round-tripped error equals the original — the same contract
-    :class:`LaunchError` and :class:`WorkerLost` implement by hand.
+    inherit the keyword constructor, field-sensitive equality and the
+    ``[k=v, ...]`` rendering.
 
     Not exported: catch the concrete families (:class:`VendorError`,
     :class:`CheckpointError`, ...) instead.
     """
-
-    _FIELDS: "tuple[str, ...]" = ()
 
     def __init__(self, message: str = "", **fields) -> None:
         super().__init__(message)
@@ -524,21 +479,6 @@ class _StructuredError(ReproError):
             if getattr(self, name) is not None
         ]
         return f"{base} [{', '.join(extra)}]" if extra else base
-
-    def _state(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.args == other.args and self._state() == other._state()
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.args))
 
 
 class VendorError(_StructuredError):

@@ -40,7 +40,6 @@ from .engine import (
     KernelStats,
     MapEngine,
     WaveVectorEngine,
-    clear_engine_plans,
     select_engine,
 )
 from .launch import LaunchConfig, launch_kernel
@@ -80,7 +79,6 @@ __all__ = [
     "KernelStats",
     "MapEngine",
     "WaveVectorEngine",
-    "clear_engine_plans",
     "select_engine",
     "LaunchConfig",
     "launch_kernel",

@@ -12,18 +12,15 @@ Three functional engines execute kernels on the virtual GPU:
 * :class:`WaveVectorEngine` — lane-batched execution: sync-free kernels
   run as fused NumPy index vectors spanning many blocks (``"vector"``
   mode); barrier or shared-memory kernels run one block per batch in
-  lockstep (``"wave"`` mode).  It runs a body as written when static
-  analysis (:mod:`repro.compiler.analysis`) proves it batchable, and
-  otherwise the lane-batched body the lowering pass
-  (:mod:`repro.compiler.lower`) derives from the per-thread source.  This
-  is what makes paper-scale problem sizes (§4's 134M-element stencil)
-  tractable on the simulated substrate.
+  lockstep (``"wave"`` mode).  It runs a hand-batched body
+  (``vectorize=True``) as written, and per-thread source as the
+  lane-batched body the lowering pass (:mod:`repro.compiler.lower`)
+  derives from it.  This is what makes paper-scale problem sizes (§4's
+  134M-element stencil) tractable on the simulated substrate.
 
-:func:`select_engine` consults the kernel's declared flags
-(``sync_free``/``vectorize``), static analysis and the lowering pass to
-pick an engine, and memoizes the decision per ``(kernel, device, block
-shape, hint)``; :func:`lane_entry` names the body a lane-batched engine
-runs.
+:func:`select_engine` picks an engine from the kernel's declared flags
+(``sync_free``/``vectorize``) and the lowering pass's verdict;
+:func:`lane_entry` names the body a lane-batched engine runs.
 
 Engines are deliberately *functional only*.  Timing comes from
 :mod:`repro.perf`, which consumes the launch geometry and the compiled
@@ -53,8 +50,6 @@ __all__ = [
     "WaveVectorEngine",
     "select_engine",
     "lane_entry",
-    "clear_engine_plans",
-    "plan_key",
     "describe_plan_key",
 ]
 
@@ -140,12 +135,13 @@ class BlockThreadEngine(Engine):
                 f"cooperative simulation of {total} threads exceeds the "
                 f"{_MAX_COOPERATIVE_THREADS}-thread guard rail of the "
                 f"'{self.name}' engine; declare the kernel sync_free=True "
-                f"and/or vectorize=True so a lane-batched engine can take it, "
-                f"or use a smaller functional problem size",
+                f"(or vectorize=True for a hand-batched body) so a "
+                f"lane-batched engine can take it, or use a smaller "
+                f"functional problem size",
                 engine=self.name,
                 cap=_MAX_COOPERATIVE_THREADS,
                 requested=total,
-                hint="declare sync_free=True and/or vectorize=True",
+                hint="declare sync_free=True (vectorize=True for a hand-batched body)",
             )
         atomics = AtomicDomain()
         stats = KernelStats(grid=grid, block=block, shared_bytes=shared_bytes, engine=self.name)
@@ -375,34 +371,6 @@ _ENGINES_BY_NAME: Dict[str, Engine] = {
     "wave": _WAVE,
 }
 
-#: Memoized engine decisions, keyed by (kernel, device name, block shape, hint).
-_PLAN_CACHE: Dict[Tuple, Engine] = {}
-
-
-def clear_engine_plans() -> None:
-    """Drop every memoized engine decision (tests and hot-reload hooks)."""
-    _PLAN_CACHE.clear()
-
-
-def plan_key(
-    kernel: Callable,
-    device=None,
-    block: Optional[Dim3] = None,
-    hint: Optional[str] = None,
-) -> Optional[Tuple]:
-    """The memoization key :func:`select_engine` caches decisions under.
-
-    ``None`` when the kernel is unhashable (such launches are planned
-    fresh every time and never cached).
-    """
-    device_name = getattr(getattr(device, "spec", None), "name", None)
-    block_shape = block.as_tuple() if isinstance(block, Dim3) else block
-    try:
-        hash(kernel)
-    except TypeError:
-        return None
-    return (kernel, device_name, block_shape, hint)
-
 
 def describe_plan_key(
     kernel: Callable,
@@ -410,12 +378,11 @@ def describe_plan_key(
     block: Optional[Dim3] = None,
     hint: Optional[str] = None,
 ) -> Tuple:
-    """Human-readable rendering of :func:`plan_key` for error messages.
+    """The ``(kernel name, device preset, block shape, hint)`` a failed
+    launch's :class:`LaunchError` names as its ``key``.
 
-    The cache key proper holds the kernel *object*; error text (and the
-    trace summary) wants its name, so the first element is replaced with
-    the kernel's ``__name__`` (falling back through the wrapped ``fn``
-    the front-end adapters attach).
+    The kernel's ``__name__`` falls back through the wrapped ``fn`` the
+    front-end adapters attach.
     """
     fn = getattr(kernel, "fn", None) or kernel
     name = getattr(fn, "__name__", None) or repr(kernel)
@@ -445,23 +412,6 @@ def _analyze_or_none(kernel: Callable):
         return None
 
 
-def _runs_raw(kernel: Callable, traits) -> bool:
-    """Does the kernel body run on lane batches as written?
-
-    ``vectorize=True`` vouches that it does and ``vectorize=False`` that
-    it must not; undeclared kernels qualify when the analysis proves them
-    straight-line and collective-free.
-    """
-    vectorize = getattr(kernel, "vectorize", None)
-    if vectorize is not None:
-        return bool(vectorize)
-    return (
-        traits is not None
-        and traits.vectorizable
-        and not (traits.uses_warp_collectives or traits.uses_atomics)
-    )
-
-
 def _lowering(kernel: Callable):
     from ..compiler.lower import lower_kernel
 
@@ -471,32 +421,22 @@ def _lowering(kernel: Callable):
 def lane_entry(kernel: Callable, engine) -> Optional[Callable]:
     """The lowered body a lane-batched ``engine`` runs instead of ``kernel``.
 
-    ``None`` means run ``kernel`` itself: the engine is scalar, the body
-    batches as written, or the lowering pass declined it.
+    ``None`` means run ``kernel`` itself: the engine is scalar, the body is
+    hand-batched (``vectorize=True``), or the lowering pass declined it.
     """
-    if engine.name not in ("vector", "wave"):
-        return None
-    if _runs_raw(kernel, _analyze_or_none(kernel)):
+    if engine.name not in ("vector", "wave") or getattr(kernel, "vectorize", False):
         return None
     return _lowering(kernel).entry
 
 
 def _plan(kernel: Callable) -> Engine:
-    """Decide the engine for one kernel from its flags and static traits."""
+    """Decide the engine for one kernel from its flags and its lowering."""
     sync_free = bool(getattr(kernel, "sync_free", False))
-    traits = _analyze_or_none(kernel)
-    if getattr(kernel, "vectorize", None):
-        # The author vouches for vectorizability; only pick the mode.
+    if getattr(kernel, "vectorize", False):
+        # The author vouches the body batches as written; only pick the mode.
+        traits = _analyze_or_none(kernel)
         cooperative = traits is not None and (traits.uses_barrier or traits.uses_shared)
-        if sync_free and not cooperative:
-            return _VECTOR
-        return _WAVE
-    if _runs_raw(kernel, traits):
-        cooperative = traits.uses_barrier or traits.uses_shared
-        if sync_free and not cooperative:
-            return _VECTOR
-        if not sync_free and traits.uses_barrier:
-            return _WAVE
+        return _VECTOR if sync_free and not cooperative else _WAVE
     # Per-thread source: run the lowered body where the pass produced one.
     # A sync-free kernel that touches barriers or shared memory is
     # misdeclared; the map engine reports that, so it keeps it.
@@ -518,31 +458,24 @@ def select_engine(
 ) -> Engine:
     """Pick the engine for a kernel launch.
 
-    Precedence: an explicit ``hint`` (the :class:`LaunchConfig` engine
-    field) wins.  A body that batches as written (``vectorize=True``, or
-    undeclared and proven straight-line by static analysis) goes to the
-    :class:`WaveVectorEngine`.  Otherwise — including ``vectorize=False``,
-    which only forbids running the body *raw* on lane batches — a body the
-    lowering pass (:mod:`repro.compiler.lower`) lowers goes to ``vector``
-    when sync-free and to ``wave`` when it uses barriers or shared
-    memory.  Everything else keeps the legacy split: sync-free kernels on
-    ``map``, the rest on ``block-thread``.  Decisions are memoized per
-    ``(kernel, device, block shape, hint)``.
+    An explicit ``hint`` (the :class:`LaunchConfig` engine field) wins.  A
+    hand-batched body (``vectorize=True``) runs as written on the
+    :class:`WaveVectorEngine`: ``vector`` when sync-free and free of
+    barriers and shared memory, else ``wave``.  Per-thread source (the
+    default, ``vectorize=False``) runs as the lowering pass
+    (:mod:`repro.compiler.lower`) lowers it: on ``vector`` when sync-free
+    and on ``wave`` when it uses barriers or shared memory.  Everything
+    else keeps the legacy split: sync-free kernels on ``map``, the rest on
+    ``block-thread``; ``lower_kernel(kernel).reason`` says why a kernel
+    stayed there.  ``device`` and ``block`` do not change the decision.
     """
-    if hint is not None:
-        try:
-            return _ENGINES_BY_NAME[hint]
-        except KeyError:
-            raise LaunchError(
-                f"unknown engine hint {hint!r}; choose one of "
-                f"{sorted(_ENGINES_BY_NAME)}",
-                hint=hint,
-            ) from None
-    key = plan_key(kernel, device, block, hint)
-    cached = _PLAN_CACHE.get(key) if key is not None else None
-    if cached is not None:
-        return cached
-    engine = _plan(kernel)
-    if key is not None:
-        _PLAN_CACHE[key] = engine
-    return engine
+    if hint is None:
+        return _plan(kernel)
+    try:
+        return _ENGINES_BY_NAME[hint]
+    except KeyError:
+        raise LaunchError(
+            f"unknown engine hint {hint!r}; choose one of "
+            f"{sorted(_ENGINES_BY_NAME)}",
+            hint=hint,
+        ) from None

@@ -274,7 +274,8 @@ class VectorThreadCtx:
     def _no_collectives(self, what: str) -> None:
         raise SyncError(
             f"{what} cannot be vectorized; warp collectives need the "
-            f"cooperative BlockThreadEngine (declare vectorize=False)"
+            f"cooperative BlockThreadEngine (write the kernel as per-thread "
+            f"source, without vectorize=True, and pin no lane-batched engine)"
         )
 
     def sync_warp(self, mask=None) -> None:
@@ -327,7 +328,8 @@ class VectorThreadCtx:
         """Atomics are inherently scalar — refuse under lane batching."""
         raise SyncError(
             "atomic operations cannot be vectorized; they need the "
-            "cooperative BlockThreadEngine (declare vectorize=False)"
+            "cooperative BlockThreadEngine (write the kernel as per-thread "
+            "source, without vectorize=True, and pin no lane-batched engine)"
         )
 
     # --- portable vector intrinsics ---------------------------------------------

@@ -92,7 +92,7 @@ def hipGetDevice() -> int:  # noqa: N802
     return getattr(_state, "ordinal", _DEFAULT_ORDINAL)
 
 
-def kernel(fn=None, *, sync_free: bool = False, vectorize: Optional[bool] = None):
+def kernel(fn=None, *, sync_free: bool = False, vectorize: bool = False):
     """``__global__`` for HIP; same semantics as :func:`repro.cuda.kernel`."""
     from ..cuda.kernel import kernel as cuda_kernel
 

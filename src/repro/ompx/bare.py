@@ -44,7 +44,7 @@ class BareKernel:
     """A function usable as the body of a ``target teams ompx_bare`` region."""
 
     def __init__(
-        self, fn: Callable, *, sync_free: bool = False, vectorize: Optional[bool] = None
+        self, fn: Callable, *, sync_free: bool = False, vectorize: bool = False
     ) -> None:
         functools.update_wrapper(self, fn)
         self.fn = fn
@@ -89,15 +89,14 @@ def bare_kernel(
     fn: Optional[Callable] = None,
     *,
     sync_free: bool = False,
-    vectorize: Optional[bool] = None,
+    vectorize: bool = False,
 ):
     """Decorator marking an ompx bare-region body (``x`` façade first arg).
 
-    ``vectorize`` mirrors ``@cuda.kernel``: ``True`` opts the body into the
-    lane-batched WaveVectorEngine as written, ``False`` says it must never
-    run raw on lane batches (only as lowered by
-    :mod:`repro.compiler.lower`, else on a scalar engine), ``None`` lets
-    static analysis decide.
+    ``vectorize`` mirrors ``@cuda.kernel``: ``True`` runs a hand-batched
+    body on the lane-batched WaveVectorEngine as written; the default,
+    ``False``, runs per-thread source as :mod:`repro.compiler.lower`
+    lowers it, else on a scalar engine.
     """
     if fn is None:
         return lambda f: BareKernel(f, sync_free=sync_free, vectorize=vectorize)

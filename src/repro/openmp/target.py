@@ -313,7 +313,7 @@ def target_teams_parallel(
     # What engine selection / compile analysis should look at is the
     # user's region, not this closure.
     adapter.fn = region
-    adapter.vectorize = getattr(region, "vectorize", None)
+    adapter.vectorize = getattr(region, "vectorize", False)
 
     def run():
         def body_fn(acc: TargetAccessor) -> TargetRegionReport:

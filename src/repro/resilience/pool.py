@@ -279,6 +279,9 @@ class ResilientPool:
     devices; a smaller pool is refused at construction.
     """
 
+    #: It heals its own devices, so a service over it leaves recovery to it.
+    resilient = True
+
     def __init__(
         self,
         pool: DevicePool,

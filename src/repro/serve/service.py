@@ -64,13 +64,15 @@ class KernelService:
     """Multi-tenant kernel serving over a (resilient) device pool.
 
     ``KernelService(devices=4)`` owns a fresh
-    :class:`~repro.sched.DevicePool`; ``resilient=True`` wraps it in a
-    :class:`~repro.resilience.ResilientPool` (with ``verify``/``seed``
-    forwarded) so backend faults are healed before tenants ever see
-    them.  ``cluster=N`` serves over N supervised worker *processes*
-    instead (with ``resilient`` meaning device healing inside each
-    worker) — lost workers are quarantined and redispatched under the
-    tenants transparently.  The owned backend is built by
+    :class:`~repro.sched.DevicePool` (``devices`` defaults to
+    ``len(specs)`` when ``specs`` is given, else 2); ``resilient=True``
+    wraps it in a :class:`~repro.resilience.ResilientPool` (with
+    ``verify``/``seed`` forwarded) so backend faults are healed before
+    tenants ever see them.  ``cluster=N`` serves over N supervised
+    worker *processes* instead (with ``resilient`` meaning device healing
+    inside each worker; without it the service resets a poisoned device
+    in its worker) — lost workers are quarantined and redispatched under
+    the tenants transparently.  The owned backend is built by
     :func:`repro.backend.open_pool`, exactly as :func:`repro.apps.run`
     builds one, so an active fault plan's ``device=`` selectors address
     pool indices here too.  Alternatively pass ``backend=`` — anything
@@ -84,7 +86,7 @@ class KernelService:
 
     def __init__(
         self,
-        devices: int = 2,
+        devices: Optional[int] = None,
         *,
         backend: Optional[PoolProtocol] = None,
         specs: Optional[List[DeviceSpec]] = None,
@@ -132,6 +134,8 @@ class KernelService:
         # out; once the service is built, close() owns it.
         with ExitStack() as stack:
             if backend is None:
+                if devices is None:
+                    devices = len(specs) if specs else 2
                 backend = stack.enter_context(open_pool(
                     devices, cluster=cluster, specs=specs,
                     placement=placement, resilient=resilient, verify=verify,
@@ -146,7 +150,9 @@ class KernelService:
             )
             self._stack = stack.pop_all()
         self.backend = backend
-        self._resilient = hasattr(backend, "health")
+        # Only a backend that heals its own devices (a ResilientPool, or a
+        # cluster of resilient workers) is left to recover on its own.
+        self._resilient = bool(getattr(backend, "resilient", False))
         self._max_redispatch = max_redispatch
         self._request_timeout_s = request_timeout_s
         self._sessions: List[Session] = []
@@ -478,19 +484,23 @@ class KernelService:
         A resilient backend owns its device recovery (quarantine, reset,
         canary probe); over a plain pool the service itself must clear
         sticky contexts so one tenant's fault cannot poison the next
-        tenant's placement.
+        tenant's placement.  A plain cluster's devices live in its worker
+        processes, so each worker resets its own.
         """
         if self._resilient:
             return
-        from ..ompx.host import ompx_device_reset
+        if getattr(self.backend, "is_cluster", False):
+            from ..cluster.actions import _ResetPoisoned
 
-        for device in self.backend.devices:
-            if device.is_poisoned:
-                ompx_device_reset(device=device.ordinal)
-                report.record(
-                    "resets",
-                    f"device {device.ordinal}: serve heal after a fault",
-                )
+            healed = sum(self.backend.gather(self.backend.scatter(_ResetPoisoned())), [])
+        else:
+            from ..ompx.host import ompx_device_reset
+
+            healed = [d.ordinal for d in self.backend.devices if d.is_poisoned]
+            for ordinal in healed:
+                ompx_device_reset(device=ordinal)
+        for ordinal in healed:
+            report.record("resets", f"device {ordinal}: serve heal after a fault")
 
     # --- crash recovery -----------------------------------------------------
     def recover(self) -> List[ServeFuture]:

@@ -9,7 +9,9 @@ the pass declines gets a kernel that must stay on its scalar engine.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +395,82 @@ def test_kernel_source_is_left_untouched():
     assert guarded.__code__ is before
 
 
+# --- per-thread source reaches the lane engines only through the pass --------------
+
+def lane_sum(ctx, d_c, d_out, n):
+    i = ctx.global_flat_id
+    ctx.deref(d_out, n, np.int64)[i] = np.sum(i)
+
+
+def lane_max(ctx, d_c, d_out, n):
+    i = ctx.global_flat_id
+    ctx.deref(d_out, n, np.int64)[i] = max(i, 7)
+
+
+def loop_max_value(ctx, d_c, d_out, n):
+    i = ctx.global_flat_id
+    ctx.deref(d_out, n, np.int64)[i] = ctx.loop_max(ctx.deref(d_c, n, np.int64)[i])
+
+
+def loop_max_trips(ctx, d_c, d_out, n):
+    i = ctx.global_flat_id
+    acc = 0
+    for _j in range(ctx.loop_max(ctx.deref(d_c, n, np.int64)[i])):
+        acc += 1
+    ctx.deref(d_out, n, np.int64)[i] = acc
+
+
+for _kernel in (lane_sum, lane_max, loop_max_value, loop_max_trips):
+    _kernel.sync_free = True
+
+
+@pytest.mark.parametrize("kernel,engine", [
+    # Per thread np.sum(i) is i; run on a lane batch as written it sums
+    # the whole batch.
+    (lane_sum, "map"),
+    # As written, max() of a lane array raises on a batch, and the launch
+    # falls back to block-thread with a RuntimeWarning.
+    (lane_max, "vector"),
+    # Per thread loop_max(c) is int(c); on a lane batch it is the batch's
+    # maximum, so passing it through gives every lane the maximum.
+    (loop_max_value, "map"),
+    (loop_max_trips, "map"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_per_thread_source_computes_what_map_computes(nvidia, kernel, engine):
+    counts = np.arange(256, dtype=np.int64) % 5
+    out = np.zeros(256, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (got,), stats = _launch(nvidia, kernel, 2, 128, [counts], [out], (256,), None)
+    (ref,), _ = _launch(nvidia, kernel, 2, 128, [counts], [out], (256,), "map")
+    assert stats.engine == engine
+    assert np.array_equal(got, ref)
+
+
+def reverse_tile(ctx, d_in, d_out, n, block):
+    tile = ctx.shared_array("tile", block, np.float64)
+    vin = ctx.deref(d_in, n, np.float64)
+    ctx.store(tile, ctx.flat_thread_id, ctx.load(vin, ctx.global_flat_id))
+    ctx.sync_threads()
+    rev = block - 1 - ctx.flat_thread_id
+    vout = ctx.deref(d_out, n, np.float64)
+    ctx.store(vout, ctx.global_flat_id, ctx.load(tile, rev))
+
+
+def test_bounds_guarded_intrinsics_lower_where_every_lane_is_live(nvidia):
+    grid, block = 4, 16
+    n = grid * block
+    data = np.arange(n, dtype=np.float64)
+    assert lower_kernel(reverse_tile).cooperative
+    (got,), got_stats = _launch(nvidia, reverse_tile, grid, block, [data],
+                                [np.zeros(n)], (n, block), None)
+    (ref,), ref_stats = _launch(nvidia, reverse_tile, grid, block, [data],
+                                [np.zeros(n)], (n, block), "block-thread")
+    assert got.tobytes() == ref.tobytes()
+    assert got_stats.engine == "wave"
+    assert dataclasses.replace(got_stats, engine="") == dataclasses.replace(ref_stats, engine="")
+
+
 # --- declined constructs ----------------------------------------------------------
 
 def with_while(ctx, n):
@@ -479,6 +557,13 @@ def with_bool_op(ctx, n):
         pass
 
 
+def with_store_after_guard(ctx, n):
+    i = ctx.global_flat_id
+    if i >= n:
+        return
+    ctx.store(ctx.deref(n, n, np.float64), i, 1.0)
+
+
 @pytest.mark.parametrize("kernel,reason", [
     (with_while, "while"),
     (with_break, "break"),
@@ -495,13 +580,15 @@ def with_bool_op(ctx, n):
     (with_python_complex_quotient, "complex"),
     (with_divergent_barrier, "barrier"),
     (with_bool_op, "and"),
+    (with_store_after_guard, "lane mask"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_declined_construct_stays_on_its_scalar_engine(kernel, reason):
     lowering = lower_kernel(kernel)
     assert lowering.entry is None
     assert reason in lowering.reason
-    # vectorize=False forbids the raw body on lane batches, so only the
-    # (declined) lowered body could have taken the kernel off ``map``.
+    # Per-thread source reaches a lane engine only as the pass lowers
+    # it, so only the (declined) lowered body could have taken the
+    # kernel off ``map``.
     kernel.sync_free = True
     kernel.vectorize = False
     try:

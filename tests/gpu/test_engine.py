@@ -74,8 +74,8 @@ class TestEngineSelection:
         assert info.value.hint == "warp-speed"
 
     def test_vectorize_false_keeps_legacy_split(self):
-        # vectorize=False forbids running the body raw on lane batches; a
-        # body the lowering pass declines keeps the legacy scalar split.
+        # vectorize=False is per-thread source, the default; a body the
+        # lowering pass declines keeps the legacy scalar split.
         def kernel(ctx):
             raise ValueError("declined: raise")
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.errors import KernelFault, ReproError
+from repro.apps import XSBench, run
+from repro.errors import KernelFault, LaunchError, ReproError
 from repro.gpu.launch import LaunchConfig, launch_kernel
 from repro.resilience.policy import exception_chain
 from repro.serve import KernelService
@@ -158,3 +159,26 @@ class TestIsolationAcceptance:
             np.testing.assert_array_equal(out, _EXPECTED)
             assert bad.report["retries"] >= 1
             assert good.report.total == 0
+
+
+@pytest.mark.cluster
+class TestPlainCluster:
+    """A plain cluster's devices live in its workers: the heal runs there."""
+
+    def test_tenant_fault_is_healed_inside_the_worker(self):
+        app = XSBench()
+        expected = run(app).output
+        with faults.inject("launch:kernel_fault@1 device=0", seed=3):
+            with KernelService(cluster=2) as service:
+                session = service.session("t")
+                with pytest.raises(LaunchError):
+                    session.submit_app(app, coalesce=False).result(timeout=120)
+                for _ in range(3):
+                    result = session.submit_app(app, coalesce=False).result(timeout=120)
+                    assert np.array_equal(result.output, expected)
+                assert session.report["resets"] == 1
+                assert service.stats()["service"]["resilient"] is False
+
+    def test_resilient_workers_make_a_resilient_backend(self):
+        with KernelService(cluster=2, resilient=True) as service:
+            assert service.stats()["service"]["resilient"] is True

@@ -239,3 +239,13 @@ class TestOwnedBackend:
                 )
         assert plan.fired == 1
         assert np.array_equal(result.output, expected.output)
+
+    def test_specs_set_the_device_count(self):
+        from repro.gpu.device import A100_SPEC, MI250_SPEC
+
+        specs = [A100_SPEC, MI250_SPEC, A100_SPEC]
+        with KernelService(specs=specs) as service:
+            assert [d.spec for d in service.devices] == specs
+        # An explicit count that disagrees with the specs is still refused.
+        with pytest.raises(SchedulerError, match="disagrees"):
+            KernelService(devices=2, specs=specs)
