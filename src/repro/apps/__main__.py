@@ -380,7 +380,6 @@ def _run_serve(app, flags, run_params) -> int:
     variant = flags.variant
     if variant == VersionLabel.NATIVE_VENDOR:
         variant = VersionLabel.NATIVE_LLVM  # same sources
-    plan = faults_mod.active_plan()
     backing = (
         f"{flags.cluster} cluster worker(s)" if flags.cluster
         else f"{flags.devices} pool device(s)"
@@ -394,7 +393,6 @@ def _run_serve(app, flags, run_params) -> int:
         cluster=flags.cluster,
         resilient=flags.resilient,
         verify=flags.verify,
-        seed=plan.seed if plan is not None else 0,
         journal_dir=flags.checkpoint,
     ) as service:
         if flags.resume and flags.checkpoint:

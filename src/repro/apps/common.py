@@ -98,14 +98,17 @@ class ExecutionConfig:
     * ``device`` — single-device target (an ordinal or a
       :class:`~repro.gpu.device.Device`; ``None`` is the thread-current
       device), used when ``devices == 1`` and no pool is given.
-    * ``devices``/``placement`` — size and placement policy of the
-      :class:`~repro.sched.DevicePool` :func:`run` creates for sharded
-      execution.
+    * ``devices`` — size of the :class:`~repro.sched.DevicePool`
+      :func:`run` creates for sharded execution (round-robin placement).
     * ``pool`` — an externally owned backend satisfying
       :class:`~repro.sched.PoolProtocol`; :func:`run` will not close it.
       A :class:`~repro.resilience.ResilientPool` routes through
       :meth:`~repro.resilience.ResilientPool.run_to_completion`
-      automatically.
+      automatically.  The backend is used as built, so ``pool`` is
+      refused with the axes that would build a different one
+      (``devices > 1``, ``cluster``, ``resilient``, ``seed``,
+      ``report``); for another placement policy pass
+      ``pool=DevicePool(n, placement=...)``.
     * ``cluster`` — shard across that many supervised worker OS
       processes instead of in-process pool threads (see
       :mod:`repro.cluster`); degrades to an in-process pool with a
@@ -146,7 +149,6 @@ class ExecutionConfig:
     params: Optional[Mapping[str, object]] = None
     device: object = None
     devices: int = 1
-    placement: object = "round_robin"
     cluster: int = 0
     pool: Optional[object] = None
     resilient: bool = False
@@ -178,11 +180,22 @@ class ExecutionConfig:
             )
         if self.resume and self.checkpoint_dir is None:
             raise AppError("resume=True requires checkpoint_dir (--checkpoint DIR)")
-        if self.pool is not None and (self.devices > 1 or self.cluster):
-            raise AppError(
-                "pool= runs on the given backend, so devices > 1 and cluster "
-                "would be ignored; pass the pool or those axes, not both"
-            )
+        if self.pool is not None:
+            ignored = [
+                axis for axis, on in (
+                    (f"devices={self.devices}", self.devices > 1),
+                    (f"cluster={self.cluster}", self.cluster > 0),
+                    ("resilient", self.resilient),
+                    (f"seed={self.seed}", self.seed is not None),
+                    ("report", self.report is not None),
+                ) if on
+            ]
+            if ignored:
+                raise AppError(
+                    "pool= runs on the given backend, so "
+                    + ", ".join(ignored) + " would be ignored; build the "
+                    "backend with them, or pass them instead of pool="
+                )
         if self.variant == VersionLabel.OMP:
             sharded = [
                 axis for axis, on in (
@@ -270,9 +283,8 @@ def _run_with_config(app, variant, params, config: ExecutionConfig) -> Functiona
 
     # An external pool is the caller's to close; open_pool closes its own.
     backend = nullcontext(config.pool) if config.pool is not None else open_pool(
-        config.devices, cluster=config.cluster, placement=config.placement,
-        resilient=config.resilient, verify=config.verify, seed=config.seed,
-        report=config.report,
+        config.devices, cluster=config.cluster, resilient=config.resilient,
+        verify=config.verify, seed=config.seed, report=config.report,
     )
     with backend as pool:
         # getattr, not isinstance: benchmark harnesses wrap pools in

@@ -31,7 +31,6 @@ def open_pool(
     *,
     cluster: int = 0,
     specs: Optional[Sequence[DeviceSpec]] = None,
-    placement: object = "round_robin",
     resilient: bool = False,
     verify: int = 1,
     seed: Optional[int] = None,
@@ -84,7 +83,7 @@ def open_pool(
             finally:
                 pool.close()
             return
-    with DevicePool(devices, specs=specs, placement=placement) as pool:
+    with DevicePool(devices, specs=specs) as pool:
         if plan is not None:
             plan.bind_devices({i: d.ordinal for i, d in enumerate(pool.devices)})
         if not resilient:

@@ -34,7 +34,7 @@ import pickle
 import threading
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ClusterError
 
@@ -300,69 +300,47 @@ class _WorkerRuntime:
         """
         if hasattr(future, "add_done_callback"):
             future.add_done_callback(
-                lambda fut: self._complete(job_id, label, fut)
+                lambda fut: self._reply(job_id, label, fut.result)
             )
             return
         waiter = threading.Thread(
-            target=self._wait_and_complete,
-            args=(job_id, label, future),
+            target=self._reply,
+            args=(job_id, label, future.result),
             name=f"cluster-wait-{job_id}",
             daemon=True,
         )
         waiter.start()
 
-    def _wait_and_complete(self, job_id: int, label: str, future) -> None:
+    def _reply(self, job_id: int, label: str, outcome: Callable[[], object]) -> None:
+        """Send the ``ok``/``err`` reply for one accepted job.
+
+        ``outcome()`` returns the job's result or raises its failure — a
+        future's ``result``, an action, the canary.  Whatever it raises,
+        resolution blowing up included, becomes the ``err`` reply, so the
+        parent always hears back and the job always leaves the in-flight
+        count.
+        """
         try:
-            exc = future.exception()
-        except Exception as wait_exc:  # noqa: BLE001 - resolution blew up
-            exc = wait_exc
-        try:
-            if exc is not None:
+            try:
+                result = outcome()
+            except Exception as exc:  # noqa: BLE001 - report, don't die
                 self.jobs_failed += 1
                 self.send(("err", job_id, _pickle_or_error(exc, label=label)))
                 return
             self.jobs_done += 1
-            self.send(
-                ("ok", job_id, _pickle_or_error(future.result(), label=label))
-            )
-        finally:
-            self._job_finished()
-
-    def _complete(self, job_id: int, label: str, future) -> None:
-        try:
-            exc = future.exception()
-            if exc is not None:
-                self.jobs_failed += 1
-                self.send(("err", job_id, _pickle_or_error(exc, label=label)))
-            else:
-                self.jobs_done += 1
-                self.send(
-                    ("ok", job_id, _pickle_or_error(future.result(), label=label))
-                )
+            self.send(("ok", job_id, _pickle_or_error(result, label=label)))
         finally:
             self._job_finished()
 
     def _run_on_thread(self, job_id: int, label: str, action) -> None:
         """Actions (and canaries) block on their own pool's futures, so
         they must never run on a pool worker thread — dedicated thread."""
-
-        def runner() -> None:
-            try:
-                if action is None:
-                    result = self._canary()
-                else:
-                    result = action.invoke(self.context)
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                self.jobs_failed += 1
-                self.send(("err", job_id, _pickle_or_error(exc, label=label)))
-                self._job_finished()
-                return
-            self.jobs_done += 1
-            self.send(("ok", job_id, _pickle_or_error(result, label=label)))
-            self._job_finished()
-
+        outcome = self._canary if action is None else (
+            lambda: action.invoke(self.context)
+        )
         thread = threading.Thread(
-            target=runner, name=f"cluster-action-{job_id}", daemon=True
+            target=self._reply, args=(job_id, label, outcome),
+            name=f"cluster-action-{job_id}", daemon=True,
         )
         thread.start()
 

@@ -131,8 +131,9 @@ class KernelFault(_FieldEquality, GpuError):
     it until ``device_reset()`` (see :meth:`repro.gpu.device.Device.reset`).
 
     ``injected=True`` marks faults raised by the :mod:`repro.faults`
-    injection framework, so retry/fallback policies can tell a scripted
-    failure from an organic one.
+    injection framework; it shows in the message (``[..., injected]``)
+    and takes part in equality, so a scripted failure reads differently
+    from an organic one.
     """
 
     _FIELDS = ("kernel", "block", "address", "injected")

@@ -449,13 +449,7 @@ def _plan(kernel: Callable) -> Engine:
     return _legacy_engine(kernel)
 
 
-def select_engine(
-    kernel: Callable,
-    device=None,
-    block: Optional[Dim3] = None,
-    *,
-    hint: Optional[str] = None,
-) -> Engine:
+def select_engine(kernel: Callable, *, hint: Optional[str] = None) -> Engine:
     """Pick the engine for a kernel launch.
 
     An explicit ``hint`` (the :class:`LaunchConfig` engine field) wins.  A
@@ -467,7 +461,9 @@ def select_engine(
     and on ``wave`` when it uses barriers or shared memory.  Everything
     else keeps the legacy split: sync-free kernels on ``map``, the rest on
     ``block-thread``; ``lower_kernel(kernel).reason`` says why a kernel
-    stayed there.  ``device`` and ``block`` do not change the decision.
+    stayed there.  The launch runs on the engine chosen here and nowhere
+    else: a kernel that raises on it fails with that engine's
+    :class:`~repro.errors.LaunchError`.
     """
     if hint is None:
         return _plan(kernel)

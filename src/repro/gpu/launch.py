@@ -9,6 +9,10 @@ The canonical signature is config-first::
 
     launch_kernel(config, kernel, args, device=None, synchronous=True)
 
+A launch runs once, on the engine :func:`~repro.gpu.engine.select_engine`
+picks; nothing re-runs a kernel that raised, so a body whose writes have
+landed is never executed a second time.
+
 The pre-redesign kernel-first order is still accepted as a thin shim that
 emits :class:`DeprecationWarning`; it will be removed two releases after
 the :class:`LaunchConfig` consolidation (see the README's deprecation
@@ -17,7 +21,6 @@ timeline).
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -29,28 +32,10 @@ from ..errors import KernelFault, LaunchError
 from ..faults.inject import active_plan as _fault_plan
 from ..trace import get_tracer
 from .dim import Dim3, DimLike, as_dim3
-from .engine import (
-    _ENGINES_BY_NAME,
-    KernelStats,
-    describe_plan_key,
-    lane_entry,
-    select_engine,
-)
+from .engine import KernelStats, describe_plan_key, lane_entry, select_engine
 from .stream import Stream
 
 __all__ = ["LaunchConfig", "launch_kernel"]
-
-#: ``REPRO_ENGINE_FALLBACK=strict`` (or ``0``/``off``) turns the graceful
-#: vector->block-thread degradation into a hard failure, for CI runs that
-#: want to know their kernels stopped vectorizing.
-_FALLBACK_ENV = "REPRO_ENGINE_FALLBACK"
-
-
-def _fallback_allowed() -> bool:
-    return os.environ.get(_FALLBACK_ENV, "").strip().lower() not in (
-        "strict", "0", "off", "false",
-    )
-
 
 def _with_injected_fault(kernel: Callable, kernel_name: str, spec: dict) -> Callable:
     """Wrap ``kernel`` so the planned :class:`KernelFault` fires in-flight.
@@ -102,27 +87,6 @@ class _BarrierFaultCtx:
         self._count += 1
         if self._count == self._after:
             self._fault(self._ctx)
-
-
-def _should_fall_back(engine, config, exc: LaunchError) -> bool:
-    """Graceful degradation policy for lane-batched engine failures.
-
-    Retry on the cooperative engine only when (a) the engine was *chosen*,
-    not pinned by the config hint — a pinned engine failing is an answer,
-    not an accident; (b) the failure came from inside the kernel body
-    (guard-rail refusals carry no ``__cause__`` and would just re-fail);
-    (c) the cause is not a (possibly injected) device fault, which must
-    poison the context rather than be papered over; and (d) the
-    environment has not requested strict mode.
-    """
-    if config.engine is not None or engine.name not in ("vector", "wave"):
-        return False
-    cause = exc.__cause__
-    if cause is None or isinstance(cause, KernelFault):
-        return False
-    if getattr(cause, "injected", False):
-        return False
-    return _fallback_allowed()
 
 
 @dataclass(frozen=True)
@@ -194,7 +158,9 @@ def launch_kernel(
     (stats are unavailable until the stream drains) — the CUDA behaviour.
     Otherwise the kernel runs to completion and its :class:`KernelStats`
     are returned — the default OpenMP ``target`` behaviour the paper
-    contrasts in §2.3.
+    contrasts in §2.3.  A kernel that raises fails with the
+    :class:`LaunchError` of the engine it ran on (``.engine``/``.key``
+    name it); an in-flight :class:`KernelFault` also poisons ``device``.
     """
     if not isinstance(config, LaunchConfig):
         if isinstance(kernel, LaunchConfig) and callable(config):
@@ -215,7 +181,7 @@ def launch_kernel(
     device = resolve_placement(device)
     device.check_poison()
     device.spec.validate_launch(config.grid, config.block, config.shared_bytes)
-    engine = select_engine(kernel, device, config.block, hint=config.engine)
+    engine = select_engine(kernel, hint=config.engine)
     kernel_name = getattr(
         getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
     )
@@ -237,30 +203,30 @@ def launch_kernel(
             # resilience watchdog can observe the stall.
             time.sleep(delay_s)
 
-    def run_once(eng) -> KernelStats:
+    def run() -> KernelStats:
         # A lane-batched engine runs the lowered body of per-thread source
         # (repro.compiler.lower); the planned fault wraps whichever body runs.
-        lowered = lane_entry(kernel, eng)
+        lowered = lane_entry(kernel, engine)
         run_kernel = kernel if lowered is None else lowered
         if fault_spec is not None:
             run_kernel = _with_injected_fault(run_kernel, kernel_name, fault_spec)
         tracer = get_tracer()
         try:
             if tracer is None:
-                return eng.run(
+                return engine.run(
                     run_kernel, config.grid, config.block, tuple(args), device,
                     config.shared_bytes,
                 )
             with tracer.span(
                 f"kernel:{kernel_name}",
                 cat="kernel",
-                engine=eng.name,
+                engine=engine.name,
                 lowered=lowered is not None,
                 grid=list(config.grid.as_tuple()),
                 block=list(config.block.as_tuple()),
                 shared_bytes=config.shared_bytes,
             ) as sp:
-                stats = eng.run(
+                stats = engine.run(
                     run_kernel, config.grid, config.block, tuple(args), device,
                     config.shared_bytes,
                 )
@@ -278,7 +244,7 @@ def launch_kernel(
                 return stats
         except LaunchError as exc:
             if exc.engine is None:
-                exc.engine = eng.name
+                exc.engine = engine.name
             if exc.key is None:
                 exc.key = describe_plan_key(
                     kernel, device, config.block, config.engine
@@ -291,25 +257,6 @@ def launch_kernel(
                     cause.kernel = kernel_name
                 device.poison(cause)
             raise
-
-    def run() -> KernelStats:
-        try:
-            return run_once(engine)
-        except LaunchError as exc:
-            if not _should_fall_back(engine, config, exc):
-                raise
-            warnings.warn(
-                f"kernel {kernel_name!r} failed on the lane-batched "
-                f"{engine.name!r} engine ({exc.__cause__!r}); retrying once "
-                f"on the cooperative block-thread engine. Set "
-                f"{_FALLBACK_ENV}=strict to fail instead.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            tracer = get_tracer()
-            if tracer is not None:
-                tracer.counter("engine_fallbacks")
-            return run_once(_ENGINES_BY_NAME["block-thread"])
 
     if config.stream is not None and not synchronous:
         config.stream.enqueue(run, label=f"launch:{kernel_name}")

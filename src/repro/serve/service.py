@@ -75,9 +75,14 @@ class KernelService:
     the tenants transparently.  The owned backend is built by
     :func:`repro.backend.open_pool`, exactly as :func:`repro.apps.run`
     builds one, so an active fault plan's ``device=`` selectors address
-    pool indices here too.  Alternatively pass ``backend=`` — anything
-    satisfying :class:`~repro.sched.PoolProtocol` — and the service will
-    serve over it without taking ownership of its lifecycle.
+    pool indices here too, and ``seed=None`` inherits the plan's seed.
+    Alternatively pass ``backend=`` — anything satisfying
+    :class:`~repro.sched.PoolProtocol` — and the service will serve over
+    it as built, without taking ownership of its lifecycle; the axes
+    that would build a different backend (``devices``, ``specs``,
+    ``cluster``, ``resilient``, ``verify``, ``seed``) are then refused
+    with :class:`~repro.errors.ServeError`.  ``dispatchers``, quotas and
+    ``journal_dir`` apply to either.
 
     The service is a context manager; :meth:`close` drains queued work
     (``drain=False`` cancels it), stops the dispatchers, and tears down
@@ -90,11 +95,10 @@ class KernelService:
         *,
         backend: Optional[PoolProtocol] = None,
         specs: Optional[List[DeviceSpec]] = None,
-        placement: object = "round_robin",
         cluster: int = 0,
         resilient: bool = False,
         verify: int = 1,
-        seed: int = 0,
+        seed: Optional[int] = None,
         default_quota: Optional[TenantQuota] = None,
         global_max_queued: int = 256,
         dispatchers: Optional[int] = None,
@@ -114,6 +118,23 @@ class KernelService:
                 f"(submit/submit_call/devices/close), got "
                 f"{type(backend).__name__}"
             )
+        if backend is not None:
+            ignored = [
+                axis for axis, on in (
+                    (f"devices={devices}", devices is not None),
+                    ("specs", specs is not None),
+                    (f"cluster={cluster}", cluster != 0),
+                    ("resilient", resilient),
+                    (f"verify={verify}", verify != 1),
+                    (f"seed={seed}", seed is not None),
+                ) if on
+            ]
+            if ignored:
+                raise ServeError(
+                    "backend= serves over the given pool, so "
+                    + ", ".join(ignored) + " would be ignored; build the "
+                    "backend with them, or pass them instead of backend="
+                )
         # ``journal_dir=`` journals every accepted app submission the
         # service can describe as JSON (app identity, variant, params,
         # tenant, coalescing key) and marks it done when its future is
@@ -138,8 +159,8 @@ class KernelService:
                     devices = len(specs) if specs else 2
                 backend = stack.enter_context(open_pool(
                     devices, cluster=cluster, specs=specs,
-                    placement=placement, resilient=resilient, verify=verify,
-                    seed=seed, report=self.report,
+                    resilient=resilient, verify=verify, seed=seed,
+                    report=self.report,
                 ))
             count = dispatchers if dispatchers is not None \
                 else max(1, len(backend.devices))

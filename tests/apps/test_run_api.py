@@ -140,6 +140,9 @@ class TestImpossibleConfigsRefused:
         ({"variant": VersionLabel.OMP, "checkpoint_dir": "ckpt"}, "classic-OpenMP"),
         ({"pool": object(), "devices": 2}, "pool= runs on the given backend"),
         ({"pool": object(), "cluster": 2}, "pool= runs on the given backend"),
+        ({"pool": object(), "resilient": True}, "so resilient would be ignored"),
+        ({"pool": object(), "seed": 3}, "so seed=3 would be ignored"),
+        ({"pool": object(), "report": object()}, "so report would be ignored"),
     ])
     def test_construction_refuses(self, fields, match):
         with pytest.raises(AppError, match=match):

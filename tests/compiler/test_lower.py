@@ -428,8 +428,7 @@ for _kernel in (lane_sum, lane_max, loop_max_value, loop_max_trips):
     # Per thread np.sum(i) is i; run on a lane batch as written it sums
     # the whole batch.
     (lane_sum, "map"),
-    # As written, max() of a lane array raises on a batch, and the launch
-    # falls back to block-thread with a RuntimeWarning.
+    # As written, max() of a lane array raises on a batch.
     (lane_max, "vector"),
     # Per thread loop_max(c) is int(c); on a lane batch it is the batch's
     # maximum, so passing it through gives every lane the maximum.

@@ -1,4 +1,4 @@
-"""Cross-frontend launch validation, engine fallback, and error transport.
+"""Cross-frontend launch validation, engine failures, and error transport.
 
 All four front ends funnel geometry through
 :meth:`DeviceSpec.validate_launch`, so an impossible launch must produce
@@ -113,37 +113,56 @@ def _make_lane_phobic():
         view = ctx.deref(out_ptr, 64, np.float64)
         view[ctx.global_flat_id] = 1.0
 
-    lane_phobic.vectorize = True   # vouches wrongly: triggers the fallback
+    lane_phobic.vectorize = True   # vouches wrongly: the wave engine raises
     return lane_phobic
 
 
+def _make_write_then_raise():
+    """A hand-batched kernel whose writes land before it raises on a batch."""
+
+    def write_then_raise(ctx, v_ptr):
+        i = ctx.global_flat_id
+        v = ctx.deref(v_ptr, 64, np.float64)
+        v[i] = v[i] + 1.0
+        if np.ndim(i) > 0:
+            raise ValueError("raised after its writes landed")
+
+    write_then_raise.vectorize = True
+    write_then_raise.sync_free = True
+    return write_then_raise
+
+
 class TestEngineFallback:
-    def test_auto_selected_vector_failure_falls_back_once(self, device, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_FALLBACK", raising=False)
+    """A kernel that raises on its engine fails the launch with that
+    engine's LaunchError; no engine re-runs it."""
+
+    def test_auto_selected_wave_failure_raises(self, device):
         ptr = device.allocator.malloc(64 * 8)
         kernel = _make_lane_phobic()
-        with pytest.warns(RuntimeWarning, match="retrying once"):
-            stats = launch_kernel(
-                LaunchConfig.create(2, 32), kernel, (ptr,), device
-            )
-        assert stats is not None
-        out = np.zeros(64)
-        device.allocator.memcpy_d2h(out, ptr)
-        assert (out == 1.0).all()              # the retry really ran
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LaunchError) as ei:
+                launch_kernel(LaunchConfig.create(2, 32), kernel, (ptr,), device)
+        assert isinstance(ei.value.__cause__, ValueError)
+        assert ei.value.engine == "wave"
+        assert "engine=wave" in str(ei.value)
         assert not device.is_poisoned          # ValueError is not a fault
         device.allocator.free(ptr)
 
-    def test_strict_mode_fails_instead(self, device, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_FALLBACK", "strict")
+    def test_landed_writes_are_not_run_twice(self, device):
         ptr = device.allocator.malloc(64 * 8)
-        kernel = _make_lane_phobic()
+        device.allocator.memcpy_h2d(ptr, np.zeros(64))
+        kernel = _make_write_then_raise()
         with pytest.raises(LaunchError) as ei:
             launch_kernel(LaunchConfig.create(2, 32), kernel, (ptr,), device)
         assert isinstance(ei.value.__cause__, ValueError)
+        assert ei.value.engine == "vector"
+        out = np.zeros(64)
+        device.allocator.memcpy_d2h(out, ptr)
+        assert (out == 1.0).all()              # one execution, not two
         device.allocator.free(ptr)
 
-    def test_pinned_engine_hint_never_falls_back(self, device, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_FALLBACK", raising=False)
+    def test_pinned_engine_hint_never_falls_back(self, device):
         ptr = device.allocator.malloc(64 * 8)
         kernel = _make_lane_phobic()
         with warnings.catch_warnings():
@@ -156,7 +175,7 @@ class TestEngineFallback:
         device.allocator.free(ptr)
 
     def test_guard_rail_refusals_do_not_fall_back(self, device):
-        # Geometry refusals carry no __cause__; retrying cannot help.
+        # A geometry refusal raises before any engine runs.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(LaunchError):

@@ -100,13 +100,6 @@ def test_stencil_without_resilience_fails():
                 app.run_sharded(VersionLabel.OMPX, params, pool)
 
 
-# The abandoned first run's in-flight stream work may reference buffers
-# the heal's reset already reclaimed; the engine retries it on the
-# fallback engine and warns.  That work belongs to a run whose result is
-# discarded, so the warning is expected noise here.
-@pytest.mark.filterwarnings(
-    "ignore:kernel 'stencil_ompx_kernel' failed:RuntimeWarning"
-)
 def test_stencil_aborted_enqueue_recovers():
     # An aborted enqueue raises on the host thread mid-halo-loop without
     # poisoning anything: run-level recovery takes the clean-reset path

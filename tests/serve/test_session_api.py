@@ -183,6 +183,25 @@ class TestExternalBackends:
                     )
         assert result.checksum == direct.checksum
 
+    def test_backend_refuses_the_axes_it_would_ignore(self):
+        from repro.gpu.device import A100_SPEC
+
+        def dispatchers():
+            return {t for t in threading.enumerate()
+                    if t.name.startswith("serve-dispatch")}
+
+        before = dispatchers()
+        with DevicePool(2) as pool:
+            with pytest.raises(ServeError) as info:
+                KernelService(backend=pool, devices=5, specs=[A100_SPEC],
+                              cluster=3, resilient=True, verify=2, seed=7,
+                              dispatchers=2)
+        for axis in ("devices=5", "specs", "cluster=3", "resilient",
+                     "verify=2", "seed=7"):
+            assert axis in str(info.value)
+        assert "dispatchers" not in str(info.value)
+        assert dispatchers() <= before
+
     def test_non_pool_backend_is_refused(self):
         with pytest.raises(ServeError, match="PoolProtocol"):
             KernelService(backend=object())
