@@ -142,7 +142,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--estimate", action="store_true")
     parser.add_argument("--variant", default=VersionLabel.OMPX,
                         choices=list(VersionLabel.ALL))
-    parser.add_argument("--device", type=int, default=0, choices=[0, 1, 2, 3])
+    parser.add_argument("--device", type=int, default=None, choices=[0, 1, 2, 3],
+                        help="single-device target ordinal (default: the "
+                             "current device, 0); a pooled run refuses it")
     parser.add_argument("--device-spec", metavar="NAME", default=None,
                         help="run on the first registered device matching the "
                              "named preset (a100, mi250, xehpc — see "
@@ -321,7 +323,7 @@ def _dispatch(app, flags, params) -> int:
             result = _run_pooled(app, config)
         else:
             print(f"{app.name}: functional run of variant {flags.variant!r} on "
-                  f"device {flags.device} (reduced scale: {dict(run_params)})")
+                  f"device {flags.device or 0} (reduced scale: {dict(run_params)})")
             result = run_app(app, config)
         if getattr(result, "checkpoint", None) is not None:
             print(result.checkpoint.summary())

@@ -97,9 +97,11 @@ class ExecutionConfig:
       app's reduced :meth:`BenchmarkApp.functional_params`.
     * ``device`` — single-device target (an ordinal or a
       :class:`~repro.gpu.device.Device`; ``None`` is the thread-current
-      device), used when ``devices == 1`` and no pool is given.
+      device).  Only a run that is not :attr:`pooled` reads it, so a
+      pooled run refuses it.
     * ``devices`` — size of the :class:`~repro.sched.DevicePool`
-      :func:`run` creates for sharded execution (round-robin placement).
+      :func:`run` creates for sharded execution (round-robin placement);
+      refused above 1 with ``cluster``, which runs one device per worker.
     * ``pool`` — an externally owned backend satisfying
       :class:`~repro.sched.PoolProtocol`; :func:`run` will not close it.
       A :class:`~repro.resilience.ResilientPool` routes through
@@ -123,7 +125,9 @@ class ExecutionConfig:
       :class:`~repro.errors.SchedulerError`); ``seed=None`` inherits the
       active fault plan's seed so chaos replays stay deterministic.
       Pass a :class:`~repro.resilience.RecoveryReport` to observe
-      recovery actions even when the run ultimately fails.
+      recovery actions even when the run ultimately fails.  Only a
+      resilient pool or a cluster reads ``seed`` and ``report``, so
+      either one without ``resilient`` or ``cluster`` is refused.
     * ``trace`` — install a process tracer for the duration when none is
       active; the tracer is attached to the result as ``result.tracer``.
     * ``checkpoint_dir``/``checkpoint_every``/``checkpoint_shards``/
@@ -196,6 +200,31 @@ class ExecutionConfig:
                     + ", ".join(ignored) + " would be ignored; build the "
                     "backend with them, or pass them instead of pool="
                 )
+        if self.device is not None and self.pooled:
+            raise AppError(
+                f"device={self.device!r} targets a single-device run, but this "
+                "run is pooled and places its shards on the pool's own "
+                "devices; drop device= or the pooling axes"
+            )
+        if not (self.resilient or self.cluster > 0):
+            unread = [
+                axis for axis, on in (
+                    (f"seed={self.seed}", self.seed is not None),
+                    ("report", self.report is not None),
+                ) if on
+            ]
+            if unread:
+                raise AppError(
+                    ", ".join(unread) + " would be ignored: only a resilient "
+                    "pool or a cluster reads them; pass resilient=True or "
+                    "cluster=N, or drop them"
+                )
+        if self.cluster > 0 and self.devices > 1:
+            raise AppError(
+                f"devices={self.devices} would be ignored: cluster="
+                f"{self.cluster} runs one device per worker process; pass "
+                "one of devices= or cluster="
+            )
         if self.variant == VersionLabel.OMP:
             sharded = [
                 axis for axis, on in (
@@ -211,6 +240,14 @@ class ExecutionConfig:
                     "tables and cannot be sharded (" + ", ".join(sharded)
                     + "); use the ompx or native variant"
                 )
+
+    @property
+    def pooled(self) -> bool:
+        """Whether :func:`run` shards over a pool instead of running on
+        ``device``: any of ``pool``, ``cluster``, ``devices > 1``,
+        ``resilient`` or ``checkpoint_dir``."""
+        return (self.pool is not None or self.cluster > 0 or self.devices > 1
+                or self.resilient or self.checkpoint_dir is not None)
 
 
 def run(app: "BenchmarkApp", config: Optional[ExecutionConfig] = None,
@@ -259,8 +296,7 @@ def _run_with_config(app, variant, params, config: ExecutionConfig) -> Functiona
     snapshot first, each retry of a checkpointed run replays only the
     unfinished tail.
     """
-    if (config.pool is None and config.cluster <= 0 and config.devices <= 1
-            and not config.resilient and config.checkpoint_dir is None):
+    if not config.pooled:
         from ..gpu.device import resolve_placement
 
         return app.run_single(variant, params, resolve_placement(config.device))

@@ -61,7 +61,7 @@ def open_pool(
     if seed is None:
         seed = plan.seed if plan is not None else 0
     if cluster > 0:
-        from .cluster import CLUSTER_KINDS, ClusterPool
+        from .cluster import ClusterPool
         from .resilience import RecoveryReport
 
         if report is None:
@@ -74,7 +74,6 @@ def open_pool(
                 raise
             warnings.warn(f"cluster degraded to the in-process pool: {exc}",
                           RuntimeWarning, stacklevel=3)
-            report.ensure_kinds(CLUSTER_KINDS)
             report.record("degraded", str(exc))
             devices = len(specs or ()) or cluster
         else:

@@ -11,9 +11,17 @@ and ``repro.resilience`` compose with it unchanged.
 - :class:`ClusterPool` / :class:`ClusterFuture` / :class:`DeviceProxy` —
   the supervised multi-process pool (heartbeats, quarantined
   super-devices, redispatch, canary-probed restarts).
-- :class:`ClusterAction` — armi-style picklable scatter/gather units;
-  ``pool.scatter`` / ``pool.broadcast`` / ``pool.all_reduce`` are the
-  failure-aware collectives over them.
+- :class:`ClusterAction` — armi-style picklable scatter/gather units:
+  ``pool.scatter(action)`` runs one rank-stamped copy per worker and
+  :func:`repro.sched.gather` collects them, failing as a unit when a
+  participant's worker dies.
+
+The pipe to a worker carries two job kinds: a ``call`` (a picklable
+callable run on the worker's pool; kernels ride it by reference) and an
+``action`` (a :class:`ClusterAction` on its own thread; scatter copies
+and the restart canary).  Lost workers, heartbeat timeouts, restarts,
+redispatches and degradation are counted in the shared
+:class:`~repro.resilience.RecoveryReport`.
 
 Callers that want graceful degradation (an in-process pool, with a
 :class:`RuntimeWarning` and a ``degraded`` recovery event, when no worker
@@ -25,11 +33,10 @@ can be spawned at all) build the pool with
 from __future__ import annotations
 
 from .actions import ClusterAction
-from .pool import CLUSTER_KINDS, ClusterFuture, ClusterPool, DeviceProxy
+from .pool import ClusterFuture, ClusterPool, DeviceProxy
 from .worker import WorkerConfig, WorkerContext
 
 __all__ = [
-    "CLUSTER_KINDS",
     "ClusterAction",
     "ClusterFuture",
     "ClusterPool",

@@ -18,7 +18,7 @@ Subclass it for real work::
             lo, hi = self.my_slice(len(self.data))
             return float(np.sum(self.data[lo:hi]))
 
-    total = pool.all_reduce(SumShard(data), op="sum")
+    total = sum(repro.sched.gather(pool.scatter(SumShard(data))))
 
 The failure contract is the pool's: a participant whose worker dies
 mid-collective surfaces as :class:`~repro.errors.WorkerLost` from the
@@ -74,7 +74,7 @@ class ClusterAction:
         if self.rank is None or self.size is None:
             raise ClusterError(
                 f"{type(self).__name__} has no rank/size; actions must be "
-                f"dispatched via ClusterPool.scatter()/all_reduce()"
+                f"dispatched via ClusterPool.scatter()"
             )
         base, extra = divmod(n, self.size)
         lo = self.rank * base + min(self.rank, extra)
@@ -83,18 +83,6 @@ class ClusterAction:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} rank={self.rank}/{self.size}>"
-
-
-class _StoreAction(ClusterAction):
-    """Park a value in the worker's context store (broadcast payload)."""
-
-    def __init__(self, key: str, value: Any) -> None:
-        self.key = key
-        self.value = value
-
-    def invoke(self, ctx) -> Any:
-        ctx.store[self.key] = self.value
-        return self.value
 
 
 class _ResetPoisoned(ClusterAction):
@@ -111,3 +99,15 @@ class _ResetPoisoned(ClusterAction):
                 ompx_device_reset(device=device.ordinal)
                 reset.append(index)
         return reset
+
+
+class _Canary(ClusterAction):
+    """Probe every device of the worker with the resilience canary kernel;
+    the parent sends it to a restarted worker before readmitting it."""
+
+    def invoke(self, ctx) -> str:
+        from ..resilience.pool import _canary_probe
+
+        for device in ctx.devices:
+            _canary_probe(device)
+        return f"canary ok on {len(ctx.devices)} device(s)"

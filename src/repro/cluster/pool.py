@@ -31,7 +31,7 @@ import threading
 import time
 import warnings
 from random import Random
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import (
     CancelledError,
@@ -46,18 +46,16 @@ from ..resilience.health import HealthTracker
 from ..resilience.report import RecoveryReport
 from ..sched.future import Future
 from ..trace import get_tracer
-from .worker import READY_SEQ, WorkerConfig, _fence, _worker_main
-
-__all__ = ["ClusterPool", "DeviceProxy", "ClusterFuture", "CLUSTER_KINDS"]
-
-#: Recovery-report counters the cluster tier adds via ``ensure_kinds``.
-CLUSTER_KINDS = (
-    "workers_lost",
-    "heartbeat_timeouts",
-    "worker_restarts",
-    "redispatches",
-    "degraded",
+from .actions import ClusterAction, _Canary
+from .worker import (
+    READY_SEQ,
+    WorkerConfig,
+    _fence,
+    _launch_by_reference,
+    _worker_main,
 )
+
+__all__ = ["ClusterPool", "DeviceProxy", "ClusterFuture"]
 
 _job_ids = itertools.count(1)
 
@@ -73,12 +71,9 @@ class DeviceProxy:
     ``ordinal`` is the cluster-wide super-device index (what fault-plan
     ``device=`` selectors address under ``--cluster``); ``rank`` and
     ``local_index`` say where the real device lives.  Proxies expose the
-    attribute surface layers above actually read (``spec``, ``ordinal``,
-    ``is_poisoned``) — nothing device-resident crosses the process
-    boundary.
+    attribute surface layers above actually read (``spec``, ``ordinal``)
+    — nothing device-resident crosses the process boundary.
     """
-
-    is_poisoned = False
 
     def __init__(self, ordinal: int, spec: DeviceSpec, rank: int,
                  local_index: int) -> None:
@@ -151,7 +146,6 @@ class _WorkerHandle:
         self.state = _STARTING
         self.last_seen = time.monotonic()
         self.inflight: Dict[int, _Job] = {}
-        self.stats: Optional[dict] = None
 
     def send(self, message) -> bool:
         with self.send_lock:
@@ -173,11 +167,10 @@ class ClusterPool:
     """Work sharded across supervised worker processes, PoolProtocol-shaped.
 
     ``ClusterPool(3)`` spawns three workers with one A100 each;
-    ``devices_per_worker`` widens each worker's local pool, and
     ``specs=[...]`` (a flat spec list, distributed round-robin) builds
-    heterogeneous clusters.  ``resilient=True`` wraps each worker's local
-    pool in a :class:`~repro.resilience.ResilientPool`, stacking
-    device-level healing *inside* workers under process-level
+    wider or heterogeneous clusters.  ``resilient=True`` wraps each
+    worker's local pool in a :class:`~repro.resilience.ResilientPool`,
+    stacking device-level healing *inside* workers under process-level
     supervision outside them.
 
     The fault plan active at construction (:func:`repro.faults.inject`)
@@ -192,7 +185,6 @@ class ClusterPool:
         self,
         workers: int = 0,
         *,
-        devices_per_worker: int = 1,
         specs: Optional[Sequence[DeviceSpec]] = None,
         resilient: bool = False,
         verify: int = 1,
@@ -210,11 +202,7 @@ class ClusterPool:
                     "ClusterPool needs workers >= 1 (or an explicit "
                     "specs= list)"
                 )
-            if devices_per_worker < 1:
-                raise ClusterError("devices_per_worker must be >= 1")
-            per_worker = [
-                [A100_SPEC] * devices_per_worker for _ in range(workers)
-            ]
+            per_worker = [[A100_SPEC] for _ in range(workers)]
         else:
             specs = list(specs)
             if not specs:
@@ -237,14 +225,13 @@ class ClusterPool:
                 raise ClusterError(
                     f"resilient verify=2 cross-checks every shard on two "
                     f"devices inside one worker, but worker(s) {narrow} "
-                    f"would host fewer than 2; pass devices_per_worker=2 "
-                    f"(or specs= with 2 per worker) or verify=1"
+                    f"would host fewer than 2; pass specs= with 2 per "
+                    f"worker or verify=1"
                 )
 
         #: Whether each worker heals its own devices (a ResilientPool inside).
         self.resilient = resilient
         self.report = report or RecoveryReport()
-        self.report.ensure_kinds(CLUSTER_KINDS)
         self.health = HealthTracker(
             workers, report=self.report, noun="worker"
         )
@@ -367,8 +354,6 @@ class ClusterPool:
                     handle.ready.set()
             elif kind in ("ok", "err"):
                 self._on_completion(handle, kind, message[1], message[2])
-            elif kind == "stats":
-                handle.stats = message[1]
             elif kind == "bye":
                 with self._lock:
                     if handle.state != _LOST:
@@ -440,7 +425,6 @@ class ClusterPool:
                 f"worker {handle.rank}: last heartbeat "
                 f"{last_seen_ago:.2f}s ago",
             )
-        self._trace_count("workers_lost")
         self.health.quarantine(handle.rank, f"worker lost: {reason}")
         # The process is unreachable or wedged either way; reap it.
         try:
@@ -507,7 +491,6 @@ class ClusterPool:
             f"{future.label!r}: worker {future.device.rank} -> "
             f"{target.rank}",
         )
-        self._trace_count("redispatches")
         self._dispatch(target, job)
 
     def _respawn(self, handle: _WorkerHandle) -> None:
@@ -530,7 +513,9 @@ class ClusterPool:
                 self._proxy_for(handle.rank),
                 pinned=True,
             )
-            job = _Job(pickle.dumps({"kind": "canary"}), probe)
+            job = _Job(pickle.dumps({
+                "kind": "action", "action": _Canary(), "label": probe.label,
+            }), probe)
             self._dispatch(handle, job)
             probe.result(timeout=self._spawn_timeout_s)
         except Exception as exc:  # noqa: BLE001 - retire on any failure
@@ -550,7 +535,6 @@ class ClusterPool:
         self.report.record(
             "worker_restarts", f"worker {handle.rank} back in rotation"
         )
-        self._trace_count("worker_restarts")
 
     def _proxy_for(self, rank: int) -> DeviceProxy:
         for proxy in self._proxies:
@@ -737,10 +721,13 @@ class ClusterPool:
         """Launch ``kernel`` in a worker process; return a future.
 
         The kernel travels *by reference* — its ``(module, qualname)``
-        pair — because decorator wrapper objects do not pickle; the
-        worker re-imports it.  Arguments must be host values (NumPy
-        arrays, scalars); :class:`DevicePointer`\\ s are rejected because
-        the memory they name lives in a different process.
+        pair — because decorator wrapper objects do not pickle: the job
+        is a ``call`` of :func:`~repro.cluster.worker._launch_by_reference`,
+        which re-imports the kernel in the worker and launches it, so the
+        future resolves to the launch's :class:`~repro.gpu.engine.KernelStats`.
+        Arguments must be host values (NumPy arrays, scalars);
+        :class:`DevicePointer`\\ s are rejected because the memory they
+        name lives in a different process.
         """
         name = label or getattr(
             getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
@@ -753,15 +740,13 @@ class ClusterPool:
                 f"kernel {name!r} has no importable (module, qualname) "
                 f"identity; cluster submission ships kernels by reference"
             )
-        spec = {
-            "kind": "kernel",
-            "module": module,
-            "qualname": qualname,
-            "config": config,
-            "args": tuple(args),
-            "label": name,
-        }
-        return self._submit_payload(spec, device, name)
+        return self.submit_call(
+            functools.partial(
+                _launch_by_reference, module, qualname, config, tuple(args)
+            ),
+            device=device,
+            label=name,
+        )
 
     def synchronize(self) -> None:
         """Fence every active worker: returns once queued work is done."""
@@ -788,10 +773,9 @@ class ClusterPool:
         Each copy gets ``rank``/``size`` stamped (armi's ``mpiActions``
         shape) and runs pinned to its worker — a scatter participant
         holds rank-specific state, so it fails with :class:`WorkerLost`
-        rather than silently running twice elsewhere.
+        rather than silently running twice elsewhere.  Gather the
+        futures with :func:`repro.sched.gather`.
         """
-        from .actions import ClusterAction
-
         if not isinstance(action, ClusterAction):
             raise ClusterError(
                 f"scatter() needs a ClusterAction, got "
@@ -816,44 +800,6 @@ class ClusterPool:
                 )
             )
         return futures
-
-    def broadcast(self, value, *, key: str = "broadcast") -> List:
-        """Park ``value`` in every active worker's context store."""
-        from .actions import _StoreAction
-
-        return self.gather(self.scatter(_StoreAction(key, value)))
-
-    def all_reduce(self, action, op: str = "sum"):
-        """Scatter ``action``, reduce the gathered results, broadcast back.
-
-        Failure-aware: participants that die mid-collective surface as
-        :class:`WorkerLost` from the gather (the collective fails as a
-        unit rather than silently reducing over a partial set).
-        """
-        reducers = {
-            "sum": lambda values: functools.reduce(
-                lambda a, b: a + b, values
-            ),
-            "min": min,
-            "max": max,
-        }
-        if op not in reducers:
-            raise ClusterError(
-                f"unknown all_reduce op {op!r}; use one of "
-                f"{sorted(reducers)}"
-            )
-        values = self.gather(self.scatter(action))
-        reduced = reducers[op](values)
-        self.broadcast(reduced, key=f"all_reduce:{op}")
-        return reduced
-
-    @staticmethod
-    def gather(futures: Sequence[ClusterFuture],
-               timeout: Optional[float] = None) -> List:
-        """Wait on all futures; re-raise the first failure in order."""
-        from ..sched import gather as _gather
-
-        return _gather(futures, timeout)
 
     # --- lifecycle ----------------------------------------------------------
     def close(self, *, drain: bool = True, timeout: float = 10.0) -> None:
@@ -920,13 +866,6 @@ class ClusterPool:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close(drain=exc_type is None)
         return False
-
-    def worker_stats(self) -> List[dict]:
-        """Final per-worker counters (populated as workers stop)."""
-        return [
-            dict(handle.stats) for handle in self._handles
-            if handle.stats is not None
-        ]
 
     def _trace_count(self, name: str) -> None:
         tracer = get_tracer()

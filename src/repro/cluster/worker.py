@@ -16,27 +16,36 @@ worker -> parent
     ``("hb", seq)``                     heartbeat; ``seq == 0`` means ready
     ``("ok", job_id, result_bytes)``    job succeeded (pickled result)
     ``("err", job_id, exc_bytes)``      job failed (pickled exception)
-    ``("stats", payload)``              final counters, sent during stop
     ``("bye",)``                        clean shutdown acknowledged
 
-Everything that crosses the pipe is pickled *by reference where it must
-be*: kernels travel as ``(module, qualname)`` pairs (decorator wrapper
-objects do not pickle), callables and :class:`ClusterAction`\\ s travel
-as ordinary pickles.  Results and exceptions (with their cause chains)
-are pre-pickled on the worker; anything unpicklable is downgraded to a
-descriptive :class:`~repro.errors.ClusterError` so the parent never
-loses a future to a serialization failure.
+A job spec is one of two kinds:
+
+``{"kind": "call", "fn": ...}``
+    a picklable callable run as ``fn(device)`` on the worker's pool.
+    Kernels ride this kind too: :meth:`ClusterPool.submit` ships
+    :func:`_launch_by_reference` over the kernel's ``(module, qualname)``
+    pair, because decorator wrapper objects do not pickle.
+``{"kind": "action", "action": ...}``
+    a :class:`~repro.cluster.ClusterAction` run on its own thread against
+    the worker's :class:`WorkerContext` (scatter participants, the
+    restart canary).
+
+Results and exceptions (with their cause chains) are pre-pickled on the
+worker; anything unpicklable is downgraded to a descriptive
+:class:`~repro.errors.ClusterError` so the parent never loses a future
+to a serialization failure.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import ClusterError
+from ..gpu.launch import launch_kernel
 
 __all__ = ["WorkerConfig", "WorkerContext"]
 
@@ -68,10 +77,8 @@ class WorkerConfig:
 class WorkerContext:
     """What a :class:`~repro.cluster.ClusterAction` sees when it runs.
 
-    ``store`` is a per-worker scratch dict that survives across actions
-    (the broadcast collective parks values there); ``global_indices``
-    maps the worker's local devices back to cluster-wide super-device
-    indices.
+    ``global_indices`` maps the worker's local devices back to
+    cluster-wide super-device indices.
     """
 
     rank: int
@@ -79,12 +86,19 @@ class WorkerContext:
     pool: Any
     devices: List[Any]
     global_indices: List[int]
-    store: Dict[str, Any] = field(default_factory=dict)
 
 
 def _fence(device) -> None:
     """Module-level no-op fence job (lambdas do not pickle)."""
     del device
+
+
+def _launch_by_reference(module: str, qualname: str, config, args: Tuple,
+                         device):
+    """The ``call`` that :meth:`ClusterPool.submit` ships a kernel as:
+    re-import it by reference and launch it on the placed device."""
+    kernel = _resolve_kernel(module, qualname)
+    return launch_kernel(config, getattr(kernel, "entry", kernel), args, device)
 
 
 def _resolve_kernel(module: str, qualname: str):
@@ -151,8 +165,6 @@ class _WorkerRuntime:
         self.inner_pool = None  # the raw DevicePool (owns the devices)
         self.pool = None  # what jobs run against (maybe ResilientPool)
         self.context: Optional[WorkerContext] = None
-        self.jobs_done = 0
-        self.jobs_failed = 0
         self._plan_cm = None
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -260,32 +272,25 @@ class _WorkerRuntime:
         label = spec.get("label") or kind or "job"
         self._job_started()
         try:
-            if kind == "call":
-                future = self.pool.submit_call(
-                    spec["fn"],
-                    device=spec.get("device"),
-                    label=label,
-                    shard=bool(spec.get("shard", False)),
-                )
-            elif kind == "kernel":
-                kernel = _resolve_kernel(spec["module"], spec["qualname"])
-                future = self.pool.submit(
-                    kernel,
-                    spec["config"],
-                    *spec.get("args", ()),
-                    device=spec.get("device"),
-                    label=label,
-                )
-            elif kind == "action":
-                self._run_on_thread(job_id, label, spec["action"])
+            if kind == "action":
+                # Actions block on their own pool's futures, so they must
+                # never run on a pool worker thread: each gets its own.
+                action = spec["action"]
+                threading.Thread(
+                    target=self._reply,
+                    args=(job_id, label, lambda: action.invoke(self.context)),
+                    name=f"cluster-action-{job_id}", daemon=True,
+                ).start()
                 return
-            elif kind == "canary":
-                self._run_on_thread(job_id, label, None)
-                return
-            else:
+            if kind != "call":
                 raise ClusterError(f"unknown cluster job kind {kind!r}")
+            future = self.pool.submit_call(
+                spec["fn"],
+                device=spec.get("device"),
+                label=label,
+                shard=bool(spec.get("shard", False)),
+            )
         except Exception as exc:  # noqa: BLE001 - submission failed
-            self.jobs_failed += 1
             self.send(("err", job_id, _pickle_or_error(exc, label=label)))
             self._job_finished()
             return
@@ -315,7 +320,7 @@ class _WorkerRuntime:
         """Send the ``ok``/``err`` reply for one accepted job.
 
         ``outcome()`` returns the job's result or raises its failure — a
-        future's ``result``, an action, the canary.  Whatever it raises,
+        future's ``result`` or an action's ``invoke``.  Whatever it raises,
         resolution blowing up included, becomes the ``err`` reply, so the
         parent always hears back and the job always leaves the in-flight
         count.
@@ -324,33 +329,11 @@ class _WorkerRuntime:
             try:
                 result = outcome()
             except Exception as exc:  # noqa: BLE001 - report, don't die
-                self.jobs_failed += 1
                 self.send(("err", job_id, _pickle_or_error(exc, label=label)))
                 return
-            self.jobs_done += 1
             self.send(("ok", job_id, _pickle_or_error(result, label=label)))
         finally:
             self._job_finished()
-
-    def _run_on_thread(self, job_id: int, label: str, action) -> None:
-        """Actions (and canaries) block on their own pool's futures, so
-        they must never run on a pool worker thread — dedicated thread."""
-        outcome = self._canary if action is None else (
-            lambda: action.invoke(self.context)
-        )
-        thread = threading.Thread(
-            target=self._reply, args=(job_id, label, outcome),
-            name=f"cluster-action-{job_id}", daemon=True,
-        )
-        thread.start()
-
-    def _canary(self) -> str:
-        """Probe every local device with the resilience canary kernel."""
-        from ..resilience.pool import _canary_probe
-
-        for device in self.inner_pool.devices:
-            _canary_probe(device)
-        return f"canary ok on {len(self.inner_pool.devices)} device(s)"
 
     # --- main loop ----------------------------------------------------------
     def run(self) -> None:
@@ -376,23 +359,13 @@ class _WorkerRuntime:
         finally:
             self.stop_event.set()
             if drain:
-                # Don't announce stats/bye while completions are still in
+                # Don't announce bye while completions are still in
                 # flight — the parent treats post-bye silence as final.
                 self._wait_inflight(timeout=30.0)
             try:
                 self.shutdown(drain)
             except Exception:  # noqa: BLE001 - teardown best-effort
                 pass
-            self.send(
-                (
-                    "stats",
-                    {
-                        "rank": self.config.rank,
-                        "jobs_done": self.jobs_done,
-                        "jobs_failed": self.jobs_failed,
-                    },
-                )
-            )
             self.send(("bye",))
             try:
                 self.conn.close()

@@ -25,6 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..digest import digest
 from ..errors import (
     GpuError,
     KernelFault,
@@ -86,23 +87,18 @@ def _digest(value):
     """A comparable fingerprint of a job result, or ``None`` if opaque.
 
     ``verify=2`` cross-checks a shard by running it twice and comparing
-    digests — meaningful only for value-like results.  Timing-ish objects
-    (KernelStats) and arbitrary objects digest to ``None`` and skip the
-    comparison rather than reporting spurious mismatches.
+    digests.  A FunctionalResult compares by variant, checksum and
+    output; anything else digests with :func:`repro.digest.digest`, so
+    timing-ish objects (KernelStats) and arbitrary objects digest to
+    ``None`` and skip the comparison rather than reporting spurious
+    mismatches.
     """
-    if value is None:
-        return ("none",)
     checksum = getattr(value, "checksum", None)
     output = getattr(value, "output", None)
     if checksum is not None and isinstance(output, np.ndarray):
-        # FunctionalResult and friends: the strongest comparison we have.
         return ("functional", getattr(value, "variant", None),
-                float(checksum), output.tobytes())
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape, str(value.dtype), value.tobytes())
-    if isinstance(value, (bool, int, float, str, bytes)):
-        return ("scalar", value)
-    return None
+                float(checksum), digest(output))
+    return digest(value)
 
 
 def _is_context_fault(exc: BaseException) -> bool:
@@ -221,8 +217,8 @@ class ResilientFuture(Future):
         rpool = self._rpool
         if rpool.verify < 2 or self._pinned is not None:
             return True  # pinned jobs are device-resident, not relocatable
-        digest = _digest(value)
-        if digest is None:
+        expected = _digest(value)
+        if expected is None:
             return True
         primary = rpool._inner_index_of(self._inner.device)
         others = [i for i in rpool.health.active_indices() if i != primary]
@@ -240,7 +236,7 @@ class ResilientFuture(Future):
             # and accept the primary (it would have passed under verify=1).
             rpool.heal_device(shadow_index, exc)
             return True
-        if _digest(shadow_value) == digest:
+        if _digest(shadow_value) == expected:
             return True
         rpool.report.record(
             "verify_mismatches",

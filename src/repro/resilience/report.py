@@ -1,16 +1,17 @@
 """The post-run recovery report: what resilience actually did.
 
 Counts and logs every recovery action — retries, quarantines,
-readmissions, retirements, watchdog fires, re-executed shards — and
-mirrors each one into the process tracer (counter ``resilience_<kind>``
-plus an instant span on the ``resilience`` track), so a Perfetto export
-shows recovery activity interleaved with the kernels it recovered.
+readmissions, retirements, watchdog fires, re-executed shards, and the
+cluster tier's lost, restarted and redispatched workers — and mirrors
+each one into the process tracer (counter ``resilience_<kind>`` plus an
+instant span on the ``resilience`` track), so a Perfetto export shows
+recovery activity interleaved with the kernels it recovered.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["RecoveryReport"]
 
@@ -27,6 +28,12 @@ KINDS = (
     "runs_reexecuted",
     "verify_mismatches",
     "stale_completions",
+    # The cluster tier (repro.cluster): supervised worker processes.
+    "workers_lost",
+    "heartbeat_timeouts",
+    "worker_restarts",
+    "redispatches",
+    "degraded",
 )
 
 
@@ -38,26 +45,12 @@ class RecoveryReport:
         self.counts: Dict[str, int] = {kind: 0 for kind in KINDS}
         self.events: List[Tuple[int, str, str]] = []
 
-    def ensure_kinds(self, kinds) -> None:
-        """Register additional event kinds (zero-initialized).
-
-        Layers that extend recovery across new failure domains — the
-        cluster tier counts lost workers and cross-process redispatches —
-        add their counters here instead of subclassing, so one report
-        instance can observe a whole stacked run (worker-local device
-        healing *and* cluster supervision).  Known kinds are untouched.
-        """
-        with self._lock:
-            for kind in kinds:
-                self.counts.setdefault(str(kind), 0)
-
     def record(self, kind: str, detail: str = "", *, count: int = 1) -> None:
         """Count one recovery action (and trace it).
 
-        ``kind`` must be one of the known counters (the module
-        :data:`KINDS` plus anything added via :meth:`ensure_kinds`);
-        ``count`` lets bulk actions (re-executing N shards) land as one
-        event with weight N.
+        ``kind`` must be one of the module's :data:`KINDS`; ``count``
+        lets bulk actions (re-executing N shards) land as one event with
+        weight N.
         """
         if kind not in self.counts:
             raise KeyError(

@@ -49,7 +49,7 @@ from ..errors import (
 from ..gpu.device import DeviceSpec
 from ..resilience import RecoveryReport
 from ..resilience.policy import exception_chain
-from ..sched import PoolProtocol
+from ..sched import PoolProtocol, gather
 from ..trace import get_tracer
 from .admission import AdmissionController, Request, trace_count
 from .coalesce import app_key, kernel_key
@@ -513,7 +513,7 @@ class KernelService:
         if getattr(self.backend, "is_cluster", False):
             from ..cluster.actions import _ResetPoisoned
 
-            healed = sum(self.backend.gather(self.backend.scatter(_ResetPoisoned())), [])
+            healed = sum(gather(self.backend.scatter(_ResetPoisoned())), [])
         else:
             from ..ompx.host import ompx_device_reset
 

@@ -112,6 +112,15 @@ class TestDeviceSpecFlag:
         assert code == 0, out
         assert "verification PASSED" in out
 
+    def test_device_with_a_pooled_run_exits_1(self, capsys):
+        # --device only places a single-device run; a pooled run refuses
+        # it at construction instead of running somewhere else.
+        code = main(["adam", "--run", "--device", "1", "--devices", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "device=1 targets a single-device run" in captured.err
+        assert "verification" not in captured.out
+
     def test_unknown_spec_name_exits_2(self, capsys):
         code = main(["adam", "--run", "--device-spec", "h100"])
         err = capsys.readouterr().err

@@ -143,6 +143,16 @@ class TestImpossibleConfigsRefused:
         ({"pool": object(), "resilient": True}, "so resilient would be ignored"),
         ({"pool": object(), "seed": 3}, "so seed=3 would be ignored"),
         ({"pool": object(), "report": object()}, "so report would be ignored"),
+        ({"device": 1, "devices": 2}, "device=1 targets a single-device run"),
+        ({"device": 0, "cluster": 2}, "device=0 targets a single-device run"),
+        ({"device": 0, "resilient": True}, "device=0 targets a single-device run"),
+        ({"device": 0, "checkpoint_dir": "ckpt"}, "device=0 targets"),
+        ({"device": 0, "pool": object()}, "device=0 targets"),
+        ({"seed": 5, "devices": 2}, "seed=5 would be ignored"),
+        ({"report": object()}, "report would be ignored"),
+        ({"seed": 5, "report": object(), "devices": 2},
+         "seed=5, report would be ignored"),
+        ({"devices": 3, "cluster": 2}, "devices=3 would be ignored"),
     ])
     def test_construction_refuses(self, fields, match):
         with pytest.raises(AppError, match=match):
@@ -167,7 +177,27 @@ class TestImpossibleConfigsRefused:
             run(app, variant=VersionLabel.OMP, params=params, cluster=2)
         assert spawned == []
 
+    @pytest.mark.parametrize("overrides", [
+        {"device": 99, "devices": 2},
+        {"devices": 2, "seed": 5, "report": RecoveryReport()},
+        {"devices": 3, "cluster": 2},
+    ])
+    def test_unread_axes_are_refused_before_any_pool(self, baseline, monkeypatch,
+                                                     overrides):
+        import repro.backend
+
+        opened = []
+        monkeypatch.setattr(repro.backend, "open_pool",
+                            lambda *a, **k: opened.append(a))
+        app, params, _ = baseline
+        with pytest.raises(AppError, match="would be ignored|single-device run"):
+            run(app, params=params, **overrides)
+        assert opened == []
+
     def test_valid_axes_still_compose(self):
         ExecutionConfig(devices=2, resilient=True, verify=2,
                         checkpoint_dir="ckpt", checkpoint_every=2, resume=True)
         ExecutionConfig(variant=VersionLabel.OMP, resilient=True)
+        ExecutionConfig(device=1)
+        ExecutionConfig(devices=2, resilient=True, seed=5, report=object())
+        ExecutionConfig(cluster=2, seed=5, report=object())

@@ -76,16 +76,6 @@ class PartialSum(ClusterAction):
         return float(sum(self.data[lo:hi]))
 
 
-class ReadStore(ClusterAction):
-    """Read a broadcast value back out of the worker's context store."""
-
-    def __init__(self, key):
-        self.key = key
-
-    def invoke(self, ctx):
-        return ctx.store.get(self.key)
-
-
 class SlowAction(ClusterAction):
     """An action slow enough to be caught by a mid-collective kill."""
 

@@ -1,7 +1,7 @@
-"""ClusterActions and the failure-aware collectives built on them.
+"""ClusterActions and the failure-aware scatter/gather built on them.
 
-Scatter stamps rank/size onto picklable action copies; gather re-raises
-the first participant failure; all_reduce = gather + reduce + broadcast.
+Scatter stamps rank/size onto picklable action copies;
+:func:`repro.sched.gather` re-raises the first participant failure.
 A worker killed mid-collective must surface as
 :class:`~repro.errors.WorkerLost` from the gather — collectives fail as
 a unit rather than silently reducing over a partial set.
@@ -13,10 +13,11 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterAction, ClusterPool
+from repro.cluster import ClusterPool
 from repro.errors import ClusterError, WorkerLost
+from repro.sched import gather
 
-from .helpers import PartialSum, RankReport, ReadStore, SlowAction
+from .helpers import PartialSum, RankReport, SlowAction
 
 pytestmark = [pytest.mark.cluster]
 
@@ -29,17 +30,21 @@ def pool():
 
 class TestScatterGather:
     def test_scatter_stamps_rank_and_size_per_worker(self, pool):
-        reports = pool.gather(pool.scatter(RankReport()))
+        reports = gather(pool.scatter(RankReport()))
         assert sorted(reports) == [(0, 3, 0, 1), (1, 3, 1, 1), (2, 3, 2, 1)]
 
     def test_the_original_action_instance_stays_unstamped(self, pool):
         action = RankReport()
-        pool.gather(pool.scatter(action))
+        gather(pool.scatter(action))
         assert action.rank is None and action.size is None
 
     def test_scatter_rejects_non_actions(self, pool):
         with pytest.raises(ClusterError, match="ClusterAction"):
             pool.scatter(lambda ctx: None)
+
+    def test_scatter_gather_sum_matches_the_serial_answer(self, pool):
+        data = list(range(100))
+        assert sum(gather(pool.scatter(PartialSum(data)))) == float(sum(data))
 
     def test_unscattered_actions_fail_loudly(self):
         with pytest.raises(ClusterError, match="rank/size"):
@@ -54,34 +59,6 @@ class TestScatterGather:
         assert slices == [(0, 4), (4, 7), (7, 10)]
 
 
-class TestCollectives:
-    def test_all_reduce_sum_matches_the_serial_answer(self, pool):
-        data = list(range(100))
-        assert pool.all_reduce(PartialSum(data), op="sum") == float(
-            sum(data)
-        )
-
-    def test_all_reduce_min_and_max(self, pool):
-        data = [5.0, -3.0, 12.0, 7.0, 0.0, 9.0]
-        assert pool.all_reduce(PartialSum(data), op="min") == min(
-            pool.gather(pool.scatter(PartialSum(data)))
-        )
-        assert pool.all_reduce(PartialSum(data), op="max") == max(
-            pool.gather(pool.scatter(PartialSum(data)))
-        )
-
-    def test_all_reduce_rejects_unknown_ops(self, pool):
-        with pytest.raises(ClusterError, match="op"):
-            pool.all_reduce(PartialSum([1.0]), op="xor")
-
-    def test_broadcast_reaches_every_worker_store(self, pool):
-        # broadcast returns one echo per participating worker; the
-        # follow-up ReadStore proves the value landed in each store.
-        assert pool.broadcast({"lr": 0.1}, key="config") == [{"lr": 0.1}] * 3
-        echoes = pool.gather(pool.scatter(ReadStore("config")))
-        assert echoes == [{"lr": 0.1}] * 3
-
-
 class TestCollectiveFailure:
     def test_worker_killed_mid_collective_fails_the_gather(self):
         with ClusterPool(
@@ -91,4 +68,4 @@ class TestCollectiveFailure:
             time.sleep(0.3)
             os.kill(pool._handles[2].proc.pid, signal.SIGKILL)
             with pytest.raises(WorkerLost):
-                pool.gather(futures, timeout=30)
+                gather(futures, timeout=30)

@@ -6,6 +6,7 @@ kill, close or monkeypatch build their own.
 """
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from repro.backend import open_pool
 from repro.cluster import ClusterFuture, ClusterPool, DeviceProxy
 from repro.errors import CancelledError, ClusterError, GpuError
 from repro.gpu import LaunchConfig
+from repro.gpu.engine import KernelStats
+from repro.resilience import RecoveryReport
 from repro.sched import DevicePool
 
 from .helpers import (
@@ -61,6 +64,41 @@ class TestRoundtrip:
         )
         future.result(timeout=30)
         assert future.done()
+
+    def test_resilient_worker_launches_a_kernel_by_reference(self):
+        report = RecoveryReport()
+        with ClusterPool(1, resilient=True, heartbeat_s=0.1,
+                         report=report) as pool:
+            future = pool.submit(touch_kernel, LaunchConfig.create(1, 32), 8)
+            stats = future.result(timeout=30)
+        assert isinstance(stats, KernelStats)
+        assert stats.threads_run == 32
+        assert report.total == 0
+
+    def test_unresolvable_kernel_reference_fails_naming_it(self, pool):
+        ghost = types.SimpleNamespace(
+            __module__="tests.cluster.helpers", __qualname__="no_such_kernel",
+            __name__="ghost",
+        )
+        future = pool.submit(ghost, LaunchConfig.create(1, 32), 8)
+        with pytest.raises(ClusterError,
+                           match=r"tests\.cluster\.helpers\.no_such_kernel"):
+            future.result(timeout=30)
+
+    @pytest.mark.parametrize("retired", [
+        {"kind": "kernel", "module": "tests.cluster.helpers",
+         "qualname": "touch_kernel"},
+        {"kind": "canary"},
+    ])
+    def test_retired_job_kinds_are_refused(self, pool, retired):
+        # The pipe carries two job kinds, call and action; anything else
+        # fails its own future and leaves the worker serving.
+        proxy = pool.devices[0]
+        future = pool._submit_payload(dict(retired, label="old"), proxy, "old")
+        with pytest.raises(ClusterError, match="unknown cluster job kind"):
+            future.result(timeout=30)
+        answer = pool.submit_call(ordinal_probe, device=proxy)
+        assert isinstance(answer.result(timeout=30), int)
 
     def test_worker_side_errors_travel_back_pickled(self, pool):
         future = pool.submit_call(failing_probe, label="boom")
@@ -155,14 +193,6 @@ class TestLifecycle:
         pool.close()
         with pytest.raises(ClusterError, match="closed"):
             pool.submit_call(ordinal_probe)
-
-    def test_worker_stats_count_completed_jobs(self):
-        with ClusterPool(1, heartbeat_s=0.1) as pool:
-            for _ in range(3):
-                pool.submit_call(ordinal_probe).result(timeout=30)
-            pool.synchronize()
-        stats = pool.worker_stats()
-        assert stats and stats[0]["jobs_done"] >= 3
 
 
 class TestValidation:

@@ -95,6 +95,14 @@ def test_needs_at_least_one_device():
         HealthTracker(0, report=RecoveryReport())
 
 
+def test_report_counts_cluster_kinds_without_a_cluster():
+    # One registry: the cluster tier's kinds read 0 on any report.
+    report = RecoveryReport()
+    for kind in ("workers_lost", "heartbeat_timeouts", "worker_restarts",
+                 "redispatches", "degraded"):
+        assert report[kind] == 0
+
+
 def test_report_rejects_unknown_kind():
     report = RecoveryReport()
     with pytest.raises(KeyError):

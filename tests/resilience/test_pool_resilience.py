@@ -246,6 +246,19 @@ class TestVerify2:
             assert rpool.report["verify_mismatches"] == 0
             assert rpool.health.state(1) == SUSPECT
 
+    def test_list_results_are_cross_checked(self):
+        # A list result digests like any other value: a device-dependent
+        # one is caught instead of skipping the cross-check.
+        from repro.backend import open_pool
+
+        with open_pool(2, resilient=True, verify=2) as rpool:
+            future = rpool.submit_call(
+                lambda dev: [dev.ordinal], label="divergent-list"
+            )
+            with pytest.raises(GpuError, match="disagrees"):
+                future.result(timeout=10)
+            assert rpool.report["verify_mismatches"] == 3
+
     def test_opaque_results_skip_the_cross_check(self, pool):
         sentinel = object()
         with ResilientPool(pool, verify=2) as rpool:
