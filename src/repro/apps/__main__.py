@@ -144,7 +144,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=list(VersionLabel.ALL))
     parser.add_argument("--device", type=int, default=None, choices=[0, 1, 2, 3],
                         help="single-device target ordinal (default: the "
-                             "current device, 0); a pooled run refuses it")
+                             "current device, 0); a pooled or --serve run "
+                             "refuses it")
     parser.add_argument("--device-spec", metavar="NAME", default=None,
                         help="run on the first registered device matching the "
                              "named preset (a100, mi250, xehpc — see "
@@ -379,6 +380,12 @@ def _run_serve(app, flags, run_params) -> int:
     """
     from ..serve import KernelService
 
+    if flags.device is not None:
+        flag = "--device-spec" if flags.device_spec is not None else "--device"
+        raise AppError(
+            f"{flag} places a single-device run, but --serve serves over "
+            f"its own pool devices (--devices/--cluster); drop {flag}"
+        )
     variant = flags.variant
     if variant == VersionLabel.NATIVE_VENDOR:
         variant = VersionLabel.NATIVE_LLVM  # same sources

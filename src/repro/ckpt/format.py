@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..errors import CheckpointError, CorruptCheckpointError
 from ..faults.inject import fire as _fire
+from ..trace import get_tracer
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -84,12 +85,6 @@ def list_snapshots(directory: str) -> List[Tuple[int, str]]:
     return found
 
 
-def _tracer():
-    from ..trace import get_tracer
-
-    return get_tracer()
-
-
 def write_snapshot(directory: str, step: int, payload: Dict[str, Any]) -> str:
     """Serialize ``payload`` and atomically publish it as step ``step``.
 
@@ -117,7 +112,7 @@ def write_snapshot(directory: str, step: int, payload: Dict[str, Any]) -> str:
     blob = header + b"\n" + body
     path = snapshot_path(directory, step)
 
-    tracer = _tracer()
+    tracer = get_tracer()
     start = tracer.now_us() if tracer is not None else 0.0
     effects = _fire(
         "checkpoint_write", path=path, step=step, size=len(blob)
@@ -182,7 +177,7 @@ def read_snapshot(path: str) -> Tuple[int, Dict[str, Any]]:
     ``digest``/``unpickle``); the session layer catches it and falls
     back along the chain.
     """
-    tracer = _tracer()
+    tracer = get_tracer()
     start = tracer.now_us() if tracer is not None else 0.0
     try:
         with open(path, "rb") as handle:

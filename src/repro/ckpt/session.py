@@ -39,6 +39,7 @@ import os
 import warnings
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from .. import trace
 from ..digest import digest
 from ..errors import CheckpointError, CorruptCheckpointError, ReproError
 from . import format as fmt
@@ -138,7 +139,7 @@ class CheckpointSession:
             path = fmt.write_snapshot(self.directory, step, payload)
         except (ReproError, OSError) as exc:
             self.stats["write_failures"] += 1
-            self._count("ckpt_write_failures")
+            trace.count("ckpt_write_failures")
             warnings.warn(
                 f"checkpoint write for step {step} failed ({exc}); "
                 "continuing without it",
@@ -179,7 +180,7 @@ class CheckpointSession:
                 return fmt.read_snapshot(path)
             except CorruptCheckpointError as exc:
                 self.stats["fallbacks"] += 1
-                self._count("ckpt_fallbacks")
+                trace.count("ckpt_fallbacks")
                 warnings.warn(
                     f"snapshot {os.path.basename(path)} failed validation "
                     f"({exc}); falling back to an older snapshot",
@@ -222,7 +223,7 @@ class CheckpointSession:
                 path=self.directory,
             )
         self.stats["resumed_step"] = step
-        self._count("ckpt_resumes")
+        trace.count("ckpt_resumes")
         return payload
 
     # --- sharded runs -----------------------------------------------------
@@ -283,7 +284,7 @@ class CheckpointSession:
         executed = len(done) - self._committed
         self._committed = len(done)
         if executed:
-            self._count("ckpt_steps_executed", executed)
+            trace.count("ckpt_steps_executed", executed)
         plan = active_plan()
         cursor = None if plan is None else plan.snapshot_cursor()
         self.commit(len(done), {
@@ -294,18 +295,11 @@ class CheckpointSession:
         })
 
     # --- misc -------------------------------------------------------------
-    def _count(self, name: str, delta: float = 1.0) -> None:
-        from ..trace import get_tracer
-
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.counter(name, float(delta))
-
     def note_skipped(self, count: int) -> None:
         """Record that ``count`` completed steps were not re-executed."""
         if count:
             self.stats["steps_skipped"] += count
-            self._count("ckpt_steps_skipped", count)
+            trace.count("ckpt_steps_skipped", count)
 
     def summary(self) -> str:
         """One-line human rendering of the session's counters."""

@@ -86,18 +86,20 @@ class ClusterAction:
 
 
 class _ResetPoisoned(ClusterAction):
-    """Reset every poisoned device of the worker; returns their super-device
-    indices.  A device's sticky context lives in its worker process, so a
-    parent that heals a plain cluster (the serving tier does) resets there."""
+    """Reset every poisoned device of the worker; returns a ``(super-device
+    index, sticky error)`` pair for each.  A device's sticky context lives
+    in its worker process, so a parent that heals a plain cluster (the
+    serving tier does) resets there."""
 
-    def invoke(self, ctx) -> List[int]:
+    def invoke(self, ctx) -> List[Tuple[int, BaseException]]:
         from ..ompx.host import ompx_device_reset
 
         reset = []
         for index, device in zip(ctx.global_indices, ctx.devices):
-            if device.is_poisoned:
+            fault = device.sticky_error
+            if fault is not None:
                 ompx_device_reset(device=device.ordinal)
-                reset.append(index)
+                reset.append((index, fault))
         return reset
 
 

@@ -33,6 +33,7 @@ import warnings
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence
 
+from .. import trace
 from ..errors import (
     CancelledError,
     ClusterError,
@@ -45,7 +46,6 @@ from ..gpu.memory import DevicePointer
 from ..resilience.health import HealthTracker
 from ..resilience.report import RecoveryReport
 from ..sched.future import Future
-from ..trace import get_tracer
 from .actions import ClusterAction, _Canary
 from .worker import (
     READY_SEQ,
@@ -352,6 +352,8 @@ class ClusterPool:
                 handle.last_seen = time.monotonic()
                 if message[1] == READY_SEQ:
                     handle.ready.set()
+            elif kind == "rec":
+                self.report.record(message[1], message[2], count=message[3])
             elif kind in ("ok", "err"):
                 self._on_completion(handle, kind, message[1], message[2])
             elif kind == "bye":
@@ -374,7 +376,7 @@ class ClusterPool:
                 f"{job.future.label!r}: {exc}"
             ))
             return
-        self._trace_count("completions")
+        trace.count("cluster_completions")
         if kind == "ok":
             job.future._settle(result=value)
         else:
@@ -576,7 +578,7 @@ class ClusterPool:
             job.future.track = f"worker:{handle.rank}"
         with self._lock:
             handle.inflight[job_id] = job
-        self._trace_count("dispatches")
+        trace.count("cluster_dispatches")
         if not handle.send(("job", job_id, job.payload)):
             # The pipe died under us; the loss path redispatches the
             # orphans it swept.  If the loss was handled *before* our
@@ -866,11 +868,6 @@ class ClusterPool:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close(drain=exc_type is None)
         return False
-
-    def _trace_count(self, name: str) -> None:
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.counter(f"cluster_{name}", delta=1.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         states = self.health.snapshot()

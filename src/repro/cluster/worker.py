@@ -14,9 +14,15 @@ parent -> worker
 
 worker -> parent
     ``("hb", seq)``                     heartbeat; ``seq == 0`` means ready
+    ``("rec", kind, detail, count)``    a resilient worker's recovery record
     ``("ok", job_id, result_bytes)``    job succeeded (pickled result)
     ``("err", job_id, exc_bytes)``      job failed (pickled exception)
     ``("bye",)``                        clean shutdown acknowledged
+
+A ``rec`` message is sent as the worker's :class:`ResilientPool` records
+the action, so the records a job's recovery made arrive ahead of its
+reply; the parent adds each to ``ClusterPool.report``, its detail
+prefixed ``worker N:``.
 
 A job spec is one of two kinds:
 
@@ -46,6 +52,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import ClusterError
 from ..gpu.launch import launch_kernel
+from ..resilience.report import RecoveryReport
 
 __all__ = ["WorkerConfig", "WorkerContext"]
 
@@ -154,6 +161,22 @@ def _pickle_or_error(value: Any, *, label: str) -> bytes:
         return pickle.dumps(fallback)
 
 
+class _ForwardedReport(RecoveryReport):
+    """A resilient worker's recovery report: every record also goes to the
+    parent as a ``rec`` message."""
+
+    def __init__(self, runtime: "_WorkerRuntime") -> None:
+        super().__init__()
+        self._runtime = runtime
+
+    def record(self, kind: str, detail: str = "", *, count: int = 1) -> None:
+        # Recording here first refuses an unknown kind in the worker, not
+        # in the parent's receiver thread.
+        super().record(kind, detail, count=count)
+        rank = self._runtime.config.rank
+        self._runtime.send(("rec", kind, f"worker {rank}: {detail}", count))
+
+
 class _WorkerRuntime:
     """The in-process state of one worker: pool, heartbeats, dispatch."""
 
@@ -233,6 +256,7 @@ class _WorkerRuntime:
                 self.inner_pool,
                 verify=self.config.verify,
                 seed=self.config.seed + self.config.rank,
+                report=_ForwardedReport(self),
             )
         self.context = WorkerContext(
             rank=self.config.rank,

@@ -1,25 +1,18 @@
-"""CUDA kernel definition and launch (``__global__`` + chevron syntax).
+"""CUDA kernel definition (``__global__``).
 
-``@kernel`` marks a function as a ``__global__`` entry point; ``launch``
-is the chevron ``kernel<<<grid, block, shared, stream>>>(args...)``.
-Launches are asynchronous with respect to the host — work is enqueued on a
-stream (the default stream if none is given) — matching the behaviour the
-paper contrasts with OpenMP's synchronous ``target`` in §2.3.
+``@kernel`` marks a function as a ``__global__`` entry point.  The
+chevron launch ``kernel<<<grid, block, shared, stream>>>(args...)`` is
+the host runtime's ``launch`` (:mod:`repro.cuda.runtime`).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from ..errors import LaunchError
-from ..gpu.device import Device, Placement
-from ..gpu.dim import DimLike
-from ..gpu.launch import LaunchConfig, launch_kernel
-from ..gpu.stream import Stream
 from .builtins import CudaThread
 
-__all__ = ["kernel", "launch", "KernelFunction"]
+__all__ = ["kernel", "KernelFunction"]
 
 
 class KernelFunction:
@@ -100,39 +93,3 @@ def kernel(
             f, sync_free=sync_free, language=language, vectorize=vectorize
         )
     return KernelFunction(fn, sync_free=sync_free, language=language, vectorize=vectorize)
-
-
-def launch(
-    kern: KernelFunction,
-    grid: DimLike,
-    block: DimLike,
-    args: Sequence = (),
-    *,
-    device: Placement = None,
-    shared_bytes: int = 0,
-    stream: Optional[Stream] = None,
-    engine: Optional[str] = None,
-) -> None:
-    """``kern<<<grid, block, shared_bytes, stream>>>(*args)``.
-
-    Asynchronous: returns as soon as the work is enqueued.  Synchronize
-    with ``cudaDeviceSynchronize``/``cudaStreamSynchronize`` before reading
-    results on the host (Figure 1's ``cudaDeviceSynchronize`` call).
-    ``device`` defaults to the caller's current CUDA device, like the
-    chevron syntax.
-    """
-    if not isinstance(kern, KernelFunction):
-        raise LaunchError(
-            f"launch() needs a @kernel-decorated function, got {kern!r}; "
-            f"plain Python functions cannot be __global__ entry points"
-        )
-    from ..gpu.device import resolve_placement
-    from .runtime import current_cuda_device
-
-    device = resolve_placement(device, default=current_cuda_device)
-    config = LaunchConfig.create(
-        grid, block, shared_bytes,
-        stream=stream if stream is not None else device.default_stream,
-        engine=engine,
-    )
-    launch_kernel(config, kern.entry, tuple(args), device, synchronous=False)

@@ -75,6 +75,7 @@ from ..errors import (
     KernelFault,
     OutOfMemoryError,
 )
+from ..trace import get_tracer
 
 __all__ = ["FaultRule", "FaultPlan", "SITES"]
 
@@ -420,7 +421,7 @@ class FaultPlan:
     def _record(self, rule: FaultRule, index: int, detail: str) -> None:
         entry = (len(self.log), rule.site, rule.key, rule.action, detail)
         self.log.append(entry)
-        tracer = _get_tracer()
+        tracer = get_tracer()
         if tracer is not None:
             tracer.add_span(
                 f"fault:{rule.site}:{rule.action}", "fault", "faults",
@@ -510,14 +511,6 @@ def _tag(exc: BaseException) -> BaseException:
     """Mark an exception as injected so policies can tell it from organic."""
     exc.injected = True  # type: ignore[attr-defined]
     return exc
-
-
-def _get_tracer():
-    # Local import: repro.trace is dependency-free, but keeping it lazy
-    # makes the plan module importable from anywhere without cycles.
-    from ..trace import get_tracer
-
-    return get_tracer()
 
 
 # ``time`` is imported for call sites applying delay effects; re-exported

@@ -13,6 +13,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Tuple
 
+from ..trace import get_tracer
+
 __all__ = ["RecoveryReport"]
 
 #: Event kinds, in the order the summary prints their counters.
@@ -61,7 +63,7 @@ class RecoveryReport:
             self.counts[kind] += count
             entry = (len(self.events), kind, detail)
             self.events.append(entry)
-        tracer = _get_tracer()
+        tracer = get_tracer()
         if tracer is not None:
             tracer.counter(f"resilience_{kind}", delta=float(count))
             tracer.add_span(
@@ -98,11 +100,3 @@ class RecoveryReport:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nonzero = {k: v for k, v in self.counts.items() if v}
         return f"RecoveryReport({nonzero})"
-
-
-def _get_tracer():
-    # Lazy: keeps this module importable without dragging trace state in
-    # at import time (mirrors repro.faults.plan).
-    from ..trace import get_tracer
-
-    return get_tracer()

@@ -24,20 +24,12 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import QueueFull, ServeError
-from ..trace import get_tracer
 from .quota import TenantQuota, TenantState
 
-__all__ = ["Request", "AdmissionController", "trace_count"]
+__all__ = ["Request", "AdmissionController"]
 
 #: Request lifecycle states (guarded by the controller lock).
 QUEUED, RUNNING, DONE = "queued", "running", "done"
-
-
-def trace_count(name: str, delta: float = 1.0) -> None:
-    """Bump a serving-tier trace counter if tracing is enabled."""
-    tracer = get_tracer()
-    if tracer is not None:
-        tracer.counter(name, delta=delta)
 
 
 class Request:

@@ -38,6 +38,7 @@ import warnings
 from contextlib import ExitStack
 from typing import Dict, List, Optional
 
+from .. import trace
 from ..backend import open_pool
 from ..errors import (
     CancelledError,
@@ -50,8 +51,7 @@ from ..gpu.device import DeviceSpec
 from ..resilience import RecoveryReport
 from ..resilience.policy import exception_chain
 from ..sched import PoolProtocol, gather
-from ..trace import get_tracer
-from .admission import AdmissionController, Request, trace_count
+from .admission import AdmissionController, Request
 from .coalesce import app_key, kernel_key
 from .future import ServeFuture
 from .quota import STAT_KEYS, TenantQuota
@@ -181,6 +181,10 @@ class KernelService:
         self._close_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._executions = 0
+        # Device resets the service performed, by the fault that forced
+        # them, until that fault's tenant claims them for its report.
+        self._heal_lock = threading.Lock()
+        self._owed_resets: Dict[tuple, List[int]] = {}
         self._workers = [
             threading.Thread(
                 target=self._dispatch_loop,
@@ -273,7 +277,7 @@ class KernelService:
         try:
             json_mod.dumps(descriptor)
         except (TypeError, ValueError):
-            trace_count("serve_journal_skipped")
+            trace.count("serve_journal_skipped")
             return None
         return self._journal.record_accepted(descriptor)
 
@@ -285,21 +289,21 @@ class KernelService:
             kind=kind, label=label, key=key, tenant_name=state.name,
             future=future, payload=payload,
         )
-        trace_count("serve_submitted")
-        trace_count(f"serve_submitted[{state.name}]")
+        trace.count("serve_submitted")
+        trace.count(f"serve_submitted[{state.name}]")
         try:
             outcome = self._admission.submit(state, request)
         except ServeError:
             # QueueFull (backpressure) or closed-service refusal: the
             # caller gets the structured error, not a dead future.
-            trace_count("serve_rejected")
-            trace_count(f"serve_rejected[{state.name}]")
+            trace.count("serve_rejected")
+            trace.count(f"serve_rejected[{state.name}]")
             raise
         if outcome == "coalesced":
-            trace_count("serve_coalesced")
-            trace_count(f"serve_coalesced[{state.name}]")
+            trace.count("serve_coalesced")
+            trace.count(f"serve_coalesced[{state.name}]")
         else:
-            trace_count("serve_admitted")
+            trace.count("serve_admitted")
         return future
 
     # --- dispatcher ---------------------------------------------------------
@@ -319,7 +323,7 @@ class KernelService:
             return
         value = None
         exc: Optional[BaseException] = None
-        tracer = get_tracer()
+        tracer = trace.get_tracer()
         try:
             if tracer is None:
                 value = self._run_guarded(request)
@@ -372,7 +376,7 @@ class KernelService:
             tenant_name=tenant.name, future=future, payload=request.payload,
         )
         self._admission.bump(tenant.name, "redispatched")
-        trace_count("serve_redispatches")
+        trace.count("serve_redispatches")
         try:
             self._admission.submit(tenant, retry, count_submitted=False)
         except ReproError as refused:
@@ -383,8 +387,8 @@ class KernelService:
     def _tally_result(self, tenant_name: str, failed: bool) -> None:
         key = "failed" if failed else "completed"
         self._admission.bump(tenant_name, key)
-        trace_count(f"serve_{key}")
-        trace_count(f"serve_{key}[{tenant_name}]")
+        trace.count(f"serve_{key}")
+        trace.count(f"serve_{key}[{tenant_name}]")
 
     # --- execution with the isolation guard ---------------------------------
     def _run_guarded(self, request: Request):
@@ -395,7 +399,8 @@ class KernelService:
         * A :class:`KernelFault` raised by the tenant's own execution is
           the tenant's own failure — surface it, but first heal the
           device it poisoned so no other tenant inherits the sticky
-          context (the resets land in the *faulting* tenant's report).
+          context.  The resets its fault forced land in the *faulting*
+          tenant's report, whichever dispatcher performed them.
         * A :class:`StickyContextError` whose chain shows no fault of
           our own is inherited poison from another tenant's job that
           landed on the device first — heal and redispatch
@@ -408,15 +413,16 @@ class KernelService:
         """
         with self._stats_lock:
             self._executions += 1
-        trace_count("serve_executions")
-        trace_count(f"serve_executions[{request.tenant_name}]")
+        trace.count("serve_executions")
+        trace.count(f"serve_executions[{request.tenant_name}]")
         while True:
             try:
                 return self._execute_once(request)
             except ReproError as exc:
                 action = self._classify(exc)
                 if action == "own-fault":
-                    self._heal_backend(self._tenant_report(request))
+                    self._heal_backend()
+                    self._claim_resets(exc, self._tenant_report(request))
                     raise
                 if action == "fatal":
                     raise
@@ -429,9 +435,9 @@ class KernelService:
                     ) from exc
                 request.redispatches += 1
                 self._admission.bump(request.tenant_name, "redispatched")
-                trace_count("serve_redispatches")
+                trace.count("serve_redispatches")
                 if action == "inherited-poison":
-                    self._heal_backend(self.report)
+                    self._heal_backend()
                 # Cross-tenant artifact: recorded on the service report,
                 # NOT the tenant's (its jobs caused none of this).
                 self.report.record(
@@ -499,28 +505,47 @@ class KernelService:
     def _tenant_report(self, request: Request) -> RecoveryReport:
         return self._admission.tenants[request.tenant_name].report
 
-    def _heal_backend(self, report: RecoveryReport) -> None:
+    def _heal_backend(self) -> None:
         """Reset any poisoned backend device (non-resilient backends).
 
         A resilient backend owns its device recovery (quarantine, reset,
         canary probe); over a plain pool the service itself must clear
         sticky contexts so one tenant's fault cannot poison the next
         tenant's placement.  A plain cluster's devices live in its worker
-        processes, so each worker resets its own.
+        processes, so each worker resets its own.  Each reset is owed to
+        the fault that poisoned the device: a bystander may heal before
+        the faulting tenant's dispatcher does, so the reset waits for
+        :meth:`_claim_resets`.
         """
         if self._resilient:
             return
-        if getattr(self.backend, "is_cluster", False):
-            from ..cluster.actions import _ResetPoisoned
+        with self._heal_lock:
+            if getattr(self.backend, "is_cluster", False):
+                from ..cluster.actions import _ResetPoisoned
 
-            healed = sum(gather(self.backend.scatter(_ResetPoisoned())), [])
-        else:
-            from ..ompx.host import ompx_device_reset
+                healed = sum(gather(self.backend.scatter(_ResetPoisoned())), [])
+            else:
+                from ..ompx.host import ompx_device_reset
 
-            healed = [d.ordinal for d in self.backend.devices if d.is_poisoned]
-            for ordinal in healed:
-                ompx_device_reset(device=ordinal)
-        for ordinal in healed:
+                healed = []
+                for device in self.backend.devices:
+                    fault = device.sticky_error
+                    if fault is not None:
+                        ompx_device_reset(device=device.ordinal)
+                        healed.append((device.ordinal, fault))
+            for ordinal, fault in healed:
+                self._owed_resets.setdefault(_fault_key(fault), []).append(ordinal)
+
+    def _claim_resets(self, exc: BaseException,
+                      report: RecoveryReport) -> None:
+        """Record in ``report`` every reset that cleared the kernel fault
+        in ``exc``'s chain: the device's sticky error, which is also the
+        ``original`` of every StickyContextError it caused."""
+        fault = next(e for e in exception_chain(exc)
+                     if isinstance(e, KernelFault))
+        with self._heal_lock:
+            ordinals = self._owed_resets.pop(_fault_key(fault), [])
+        for ordinal in ordinals:
             report.record("resets", f"device {ordinal}: serve heal after a fault")
 
     # --- crash recovery -----------------------------------------------------
@@ -564,7 +589,7 @@ class KernelService:
                     params=entry.get("params"),
                 )
             )
-            trace_count("serve_recovered")
+            trace.count("serve_recovered")
         # Retire every old pending entry — re-admitted leaders AND the
         # duplicates they deduped (the one re-admission covers them all;
         # the new incarnation's own accepted/done pair takes over).
@@ -670,3 +695,11 @@ class KernelService:
             f"<KernelService {len(self._admission.tenants)} tenant(s) "
             f"over {self.backend!r} ({state})>"
         )
+
+
+def _fault_key(fault: BaseException) -> tuple:
+    """Identify a kernel fault, also after a cluster worker pickled it:
+    by type and message.  Field equality would not do, because an injected
+    fault on a lane engine holds per-lane index arrays in ``block``, and
+    those compare by identity."""
+    return type(fault), fault.args

@@ -70,6 +70,7 @@ __all__ = [
     "enable",
     "disable",
     "get_tracer",
+    "count",
     "tracing",
     "to_records",
     "export_chrome",
@@ -89,6 +90,13 @@ def get_tracer() -> Optional[Tracer]:
     path is a single module-global read.
     """
     return _active
+
+
+def count(name: str, delta: float = 1.0) -> None:
+    """Bump counter ``name`` by ``delta`` on the active tracer, if any."""
+    tracer = _active
+    if tracer is not None:
+        tracer.counter(name, delta=delta)
 
 
 def enable(tracer: Optional[Tracer] = None) -> Tracer:

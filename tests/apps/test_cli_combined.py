@@ -121,6 +121,17 @@ class TestDeviceSpecFlag:
         assert "device=1 targets a single-device run" in captured.err
         assert "verification" not in captured.out
 
+    @pytest.mark.parametrize("flag, value", [("--device", "1"),
+                                             ("--device-spec", "mi250")])
+    def test_serve_refuses_a_device_flag(self, capsys, flag, value):
+        # The service places tenants on its own pool devices; a flag it
+        # would ignore is refused instead.
+        code = main(["adam", "--serve", flag, value, "--tenants", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"AppError: {flag} places a single-device run" in captured.err
+        assert "serving variant" not in captured.out
+
     def test_unknown_spec_name_exits_2(self, capsys):
         code = main(["adam", "--run", "--device-spec", "h100"])
         err = capsys.readouterr().err

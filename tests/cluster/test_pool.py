@@ -277,6 +277,25 @@ class TestGracefulDegradation:
         assert report["retries"] >= 1
 
 
+class TestWorkerRecoveryReport:
+    def test_worker_recovery_reaches_the_parent_report(self):
+        # Each resilient worker heals its own devices; its records come
+        # back over the pipe into the report run() was given.
+        from repro import faults
+        from repro.apps import XSBench, run
+
+        app = XSBench()
+        single = run(app)
+        report = RecoveryReport()
+        with faults.inject("kernel_fault@1 device=1"):
+            result = run(app, cluster=2, resilient=True, report=report)
+        assert np.array_equal(result.output, single.output)
+        assert report["resets"] >= 1, report.summary()
+        assert report["retries"] >= 1, report.summary()
+        assert all(detail.startswith("worker 1: ")
+                   for _, _, detail in report.events), report.summary()
+
+
 def _degradable_init(self, workers, **kwargs):
     exc = ClusterError("no worker could be spawned (test)")
     exc.degradable = True

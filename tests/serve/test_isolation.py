@@ -12,6 +12,9 @@ bystander's result is bit-identical to a fault-free run, and zero
 cross-tenant recovery events land in any bystander's report.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,100 @@ class TestIsolationAcceptance:
             np.testing.assert_array_equal(out, _EXPECTED)
             assert bad.report["retries"] >= 1
             assert good.report.total == 0
+
+    def test_a_bystanders_heal_lands_in_the_faulting_tenants_report(
+            self, monkeypatch):
+        # The race: a bystander that inherited the poisoned context can
+        # reset the device before the faulting tenant's dispatcher gets
+        # to its own heal.  Hold that dispatcher until the bystander has
+        # healed; the reset is still the faulting tenant's.
+        held, healed = threading.Event(), threading.Event()
+        victim_threads = []
+        classify = KernelService._classify
+        heal = KernelService._heal_backend
+
+        def holding_classify(self, exc):
+            action = classify(self, exc)
+            if action == "own-fault":
+                victim_threads.append(threading.current_thread())
+                held.set()
+                assert healed.wait(30)
+            return action
+
+        def signalling_heal(self, *args, **kwargs):
+            heal(self, *args, **kwargs)
+            if threading.current_thread() not in victim_threads:
+                healed.set()
+
+        monkeypatch.setattr(KernelService, "_classify", holding_classify)
+        monkeypatch.setattr(KernelService, "_heal_backend", signalling_heal)
+        with KernelService(devices=1, dispatchers=2) as service:
+            bad = service.session("bad")
+            good = service.session("good")
+            with faults.inject(
+                "launch:kernel_fault,kernel=victim_kernel", seed=3
+            ) as plan:
+                plan.bind_devices(
+                    {i: d.ordinal for i, d in enumerate(service.devices)}
+                )
+                victim = bad.submit(
+                    victim_kernel, LaunchConfig.create(1, 32), N,
+                    label="victim",
+                )
+                assert held.wait(30)
+                out = good.submit_call(
+                    _bystander_job, label="bystander"
+                ).result(timeout=60)
+                with pytest.raises(ReproError):
+                    victim.result(timeout=60)
+            np.testing.assert_array_equal(out, _EXPECTED)
+            assert healed.is_set()
+            assert good.report.total == 0, good.report.summary()
+            assert bad.report["resets"] == 1, bad.report.summary()
+            assert service.report["resets"] == 0, service.report.summary()
+            assert not any(d.is_poisoned for d in service.devices)
+
+    def test_concurrent_faults_each_report_one_reset(self):
+        # More dispatchers than cores, a short switch interval, several
+        # faulting tenants and bystanders at once: however the heals
+        # interleave, each fault's reset lands once, in its own tenant's
+        # report.
+        victims, bystanders = 4, 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with KernelService(devices=2, dispatchers=6) as service:
+                bads = [service.session(f"bad{i}") for i in range(victims)]
+                goods = [service.session(f"good{i}")
+                         for i in range(bystanders)]
+                with faults.inject(
+                    "launch:kernel_fault,kernel=victim_kernel", seed=3
+                ) as plan:
+                    plan.bind_devices(
+                        {i: d.ordinal for i, d in enumerate(service.devices)}
+                    )
+                    failing = [
+                        bad.submit(victim_kernel, LaunchConfig.create(1, 32),
+                                   N, label=f"victim{i}", coalesce=False)
+                        for i, bad in enumerate(bads)
+                    ]
+                    futures = [
+                        good.submit_call(_bystander_job, label=f"by{i}")
+                        for i, good in enumerate(goods)
+                    ]
+                    for future in failing:
+                        with pytest.raises(ReproError):
+                            future.result(timeout=60)
+                    results = [f.result(timeout=60) for f in futures]
+                    fired = plan.fired
+        finally:
+            sys.setswitchinterval(interval)
+        for out in results:
+            np.testing.assert_array_equal(out, _EXPECTED)
+        assert fired == victims
+        assert [bad.report["resets"] for bad in bads] == [1] * victims
+        assert all(good.report.total == 0 for good in goods)
+        assert service.report["resets"] == 0, service.report.summary()
 
 
 @pytest.mark.cluster

@@ -171,6 +171,14 @@ class TestLifecycle:
                 pass
         assert [s.name for s in t.spans] == ["first", "second"]
 
+    def test_count_bumps_the_active_tracer_only(self):
+        trace.count("ops")  # tracing off: nothing to count into
+        with trace.tracing() as t:
+            trace.count("ops")
+            trace.count("ops", 2.5)
+        trace.count("ops")
+        assert t.counters == {"ops": 3.5}
+
 
 class TestSummary:
     def test_empty_summary(self):
