@@ -34,8 +34,9 @@ per launch by :func:`repro.gpu.engine.select_engine`:
   :class:`~repro.gpu.engine.WaveVectorEngine`: hand-batched kernels
   written against the portable ``select``/``load``/``store``/``loop_max``
   intrinsics run as whole NumPy arrays, either fused across blocks
-  (sync-free ``"vector"`` mode) or one block per lockstep batch with real
-  shared memory (``"wave"`` mode, for barriers or shared memory).
+  (sync-free ``"vector"`` mode) or many whole blocks per lockstep batch,
+  each block with its own shared memory (``"wave"`` mode, for barriers or
+  shared memory).
   Per-thread kernels run there too, as the lane-batched body the
   lowering pass (:mod:`repro.compiler.lower`) derives from their
   unchanged source.  This is what makes paper-scale launch sizes

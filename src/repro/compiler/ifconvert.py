@@ -60,12 +60,16 @@ class _Uniformity:
 
     A local is lane-varying when any assignment to it has a varying right
     side or sits under a varying ``if``/loop.  A variable assigned only as
-    the target of ``for`` loops over uniform ranges stays uniform.
+    the target of ``for`` loops over uniform ranges stays uniform.  A name
+    bound by a shared-memory declaration stays uniform (stores through it
+    land in the shared array), but reading an element varies: on a wave
+    batch each lane reads its own block's copy.
     """
 
     def __init__(self, facade: str, body: List[ast.stmt]) -> None:
         self.facade = facade
         self.varying: Set[str] = set()
+        self.shared = self._shared_names(facade, body)
         self.loop_only = self._loop_only(body)
         self._known: Optional[Dict[ast.AST, bool]] = None
         while True:
@@ -88,6 +92,28 @@ class _Uniformity:
         # A for target is itself a store: loop-only names store nowhere else.
         return {name for name, count in loops.items() if stores[name] == count}
 
+    @staticmethod
+    def _shared_names(facade: str, body) -> Set[str]:
+        names: Set[str] = set()
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)
+                    and isinstance(node.value.func.value, ast.Name)
+                    and node.value.func.value.id == facade
+                    and node.value.func.attr in _SHARED_CALLS
+                ):
+                    names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        return names
+
+    def in_shared(self, expr: ast.expr) -> bool:
+        """Is ``expr`` a shared array, or an element or row of one?"""
+        while isinstance(expr, ast.Subscript):
+            expr = expr.value
+        return isinstance(expr, ast.Name) and expr.id in self.shared
+
     def vary(self, expr: Optional[ast.AST]) -> bool:
         if expr is None:
             return False
@@ -101,6 +127,8 @@ class _Uniformity:
     def _vary(self, expr: ast.AST) -> bool:
         for node in ast.walk(expr):
             if isinstance(node, ast.Name) and node.id in self.varying:
+                return True
+            if isinstance(node, ast.Subscript) and self.in_shared(node.value):
                 return True
             if (
                 isinstance(node, ast.Attribute)
@@ -300,12 +328,16 @@ class _Codegen:
                 p, e = self.expr(elt, m)
                 pre += p
                 idx.append(e)
+            # Under a lane mask, a uniform store into shared memory still
+            # lands only in the blocks that have a live lane.
+            varying = self.uni.vary(source) or any(self.uni.vary(e) for e in index)
+            per_block = m is not None and self.uni.in_shared(base)
             bpre, base = self.expr(base, m)
             pre += bpre
-            if not (self.uni.vary(source) or any(self.uni.vary(e) for e in index)):
+            if not (varying or per_block):
                 store = ast.Subscript(base, ast.Tuple(idx, ast.Load()), ast.Store())
                 return pre + [ast.Assign([store], value)]
-            if any(isinstance(e, ast.Slice) for e in idx):
+            if varying and any(isinstance(e, ast.Slice) for e in idx):
                 raise _Decline("lane-varying store through a slice")
             return pre + [ast.Expr(_call("_lw_st", self.mask(m), base,
                                          ast.Tuple(idx, ast.Load()), value))]
@@ -501,13 +533,13 @@ class _Codegen:
         return list(sl.elts) if isinstance(sl, ast.Tuple) else [sl]
 
     def _flatten(self, node: ast.Subscript) -> Tuple[ast.expr, List[ast.expr]]:
-        """``a[i][j]`` with a lane-varying ``i`` reads ``a[i, j]``: same element,
-        no per-lane copy (so stores through it land)."""
+        """``a[i][j]`` with a lane-varying ``i`` (or a shared ``a``) reads
+        ``a[i, j]``: same element, no per-lane copy (so stores through it land)."""
         index = self._index_elts(node.slice)
         base = node.value
         while (
             isinstance(base, ast.Subscript)
-            and self.uni.vary(base.slice)
+            and (self.uni.vary(base.slice) or self.uni.in_shared(base.value))
             and not any(isinstance(e, ast.Slice) for e in self._index_elts(base.slice))
         ):
             index = self._index_elts(base.slice) + index

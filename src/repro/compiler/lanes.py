@@ -18,6 +18,8 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from ..gpu.shared import BlockShared
+
 __all__ = ["RUNTIME", "UNSET"]
 
 #: NumPy ufuncs whose array loops are bit-identical to their scalar calls
@@ -120,12 +122,19 @@ def _live_index(sel, v):
 
 
 def _lw_ld(m, base, idx):
-    """``base[idx]`` read only for live lanes; dead lanes get zeros."""
+    """``base[idx]`` read only for live lanes; dead lanes get zeros.
+
+    A wave batch's shared array (:class:`~repro.gpu.shared.BlockShared`)
+    is read per lane, so its rows narrow to the live lanes too.
+    """
     if m is None:
         return base[idx]
-    if not any(_lanes_of(i) for i in idx):
+    per_block = isinstance(base, BlockShared)
+    if not per_block and not any(_lanes_of(i) for i in idx):
         return base[idx]
     sel = _live_lanes(m)
+    if per_block:
+        base = base.restrict(sel)
     vals = np.asarray(base[tuple(_live_index(sel, i) for i in idx)])
     out = np.zeros((m.shape[0],) + vals.shape[1:], dtype=vals.dtype)
     out[sel] = vals
@@ -133,12 +142,19 @@ def _lw_ld(m, base, idx):
 
 
 def _lw_st(m, base, idx, value) -> None:
-    """``base[idx] = value`` for live lanes, in lane order (last one wins)."""
+    """``base[idx] = value`` for live lanes, in lane order (last one wins).
+
+    Into a wave batch's shared array only the live lanes' blocks are
+    written, each lane into its own block's copy.
+    """
+    per_block = isinstance(base, BlockShared)
     sel = None if m is None else _live_lanes(m)
     if sel is not None:
         idx = tuple(_live_index(sel, i) for i in idx)
         value = _live_index(sel, value)
-    if _lanes_of(value) and not any(_lanes_of(i) for i in idx):
+        if per_block:
+            base = base.restrict(sel)
+    if _lanes_of(value) and not per_block and not any(_lanes_of(i) for i in idx):
         # Every live lane writes the same element: the last lane wins,
         # as under the sequential map engine.
         value = value[-1]

@@ -25,8 +25,11 @@ form NumPy's scalar product computes; its SIMD array multiply differs in
 the last bit), ``math.sqrt`` maps to the correctly rounded ``np.sqrt``,
 every other libm call runs per live lane, ``min``/``max`` keep Python's tie
 and NaN rule, ``int`` truncates toward zero and ``complex(re, im)`` is built
-from its parts.  The bounds-guarded ``load``/``store`` intrinsics run as
-written where every lane is live.  Counted façade calls (``array``,
+from its parts.  A ``wave`` batch holds many blocks, each with its own
+copy of every shared array, so a read of a shared array is lane-varying
+and a store into one under a lane mask writes only the live lanes' blocks.
+The bounds-guarded ``load``/``store`` intrinsics run as written where
+every lane is live.  Counted façade calls (``array``,
 shared declarations, barriers) count only the lanes live at the call, so
 ``KernelStats`` equal the scalar engine's.
 

@@ -181,8 +181,11 @@ class Memcheck:
 
         Device views are slices of an allocation's ``uint8`` buffer, so the
         view's memory address falls inside exactly one live allocation's
-        buffer; host arrays fall in none and return ``None``.
+        buffer; host arrays fall in none and return ``None``, and so does a
+        wave batch's block-stacked shared array (not an ndarray).
         """
+        if not isinstance(view, np.ndarray):
+            return None
         start = view.__array_interface__["data"][0]
         for device in _registered_devices().values():
             allocator = device._allocator

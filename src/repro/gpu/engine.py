@@ -11,8 +11,9 @@ Three functional engines execute kernels on the virtual GPU:
   :class:`~repro.errors.SyncError`.
 * :class:`WaveVectorEngine` — lane-batched execution: sync-free kernels
   run as fused NumPy index vectors spanning many blocks (``"vector"``
-  mode); barrier or shared-memory kernels run one block per batch in
-  lockstep (``"wave"`` mode).  It runs a hand-batched body
+  mode); barrier or shared-memory kernels run many whole blocks per batch
+  in lockstep, each block with its own shared memory (``"wave"`` mode).
+  It runs a hand-batched body
   (``vectorize=True``) as written, and per-thread source as the
   lane-batched body the lowering pass (:mod:`repro.compiler.lower`)
   derives from it.  This is what makes paper-scale problem sizes (§4's
@@ -62,9 +63,12 @@ _MAX_MAP_THREADS = 20_000_000
 #: Lane-batched execution is array-at-a-time, so it can absorb paper-scale
 #: grids outright; the rail only catches pathological requests.
 _MAX_VECTOR_THREADS = 1 << 28
-#: Fused ("vector" mode) batches are chunked so gathers with a per-lane
+#: Lane batches of both modes are chunked so gathers with a per-lane
 #: inner dimension stay within a bounded memory footprint.
 _VECTOR_CHUNK_THREADS = 1 << 16
+#: A wave batch stacks one copy of shared memory per block; at the device's
+#: per-block limit its blocks may hold at most this many bytes together.
+_WAVE_CHUNK_SHARED_BYTES = 1 << 25
 
 
 @dataclass
@@ -261,8 +265,9 @@ class WaveVectorEngine(Engine):
 
     * ``"vector"`` — sync-free kernels; lanes are fused across blocks into
       contiguous chunks of global flat thread ids.
-    * ``"wave"`` — barrier-only cooperative kernels; one batch per block,
-      with real shared memory and a lockstep (counting no-op) barrier.
+    * ``"wave"`` — barrier-only cooperative kernels; each batch is a range
+      of whole blocks with block-stacked shared memory and a lockstep
+      (counting no-op) barrier.
     """
 
     def __init__(self, mode: str) -> None:
@@ -310,24 +315,28 @@ class WaveVectorEngine(Engine):
         shared_bytes: int,
         stats: KernelStats,
     ) -> None:
-        for flat_block in range(grid.volume):
-            block_idx = delinearize(flat_block, grid)
+        per_batch = max(1, min(
+            _VECTOR_CHUNK_THREADS // block.volume,
+            _WAVE_CHUNK_SHARED_BYTES // device.spec.shared_mem_per_block,
+        ))
+        for start in range(0, grid.volume, per_batch):
+            blocks = range(start, min(start + per_batch, grid.volume))
             ctx = VectorThreadCtx(
                 device, grid, block,
-                mode="wave", block_idx=block_idx, shared_bytes=shared_bytes,
+                mode="wave", blocks=blocks, shared_bytes=shared_bytes,
             )
             try:
                 kernel(ctx, *args)
             except BaseException as exc:  # noqa: BLE001 - same surface as scalar engines
                 raise LaunchError(
-                    f"kernel failed in block {block_idx} (wave batch of "
-                    f"{block.volume} lanes): {exc!r}",
+                    f"kernel failed in blocks [{blocks.start}, {blocks.stop}) "
+                    f"(wave batch of {ctx.lanes} lanes): {exc!r}",
                     engine=self.name,
                 ) from exc
             finally:
                 stats.absorb(ctx)
-            stats.blocks_run += 1
-            stats.threads_run += block.volume
+            stats.blocks_run += len(blocks)
+            stats.threads_run += ctx.lanes
 
     def _run_vector(
         self,

@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import KernelFault, LaunchError
 from ..faults.inject import active_plan as _fault_plan
 from ..trace import get_tracer
-from .dim import Dim3, DimLike, as_dim3
+from .dim import Dim3, DimLike, as_dim3, delinearize
 from .engine import KernelStats, describe_plan_key, lane_entry, select_engine
 from .stream import Stream
 
@@ -50,7 +50,11 @@ def _with_injected_fault(kernel: Callable, kernel_name: str, spec: dict) -> Call
     message = spec.get("message", "injected kernel fault")
 
     def fault(ctx) -> None:
-        block = block_sel if block_sel is not None else ctx.block_idx
+        # A lane batch reports its lowest block, as the scalar engines
+        # report the first block they run: a plain Dim3 either way.
+        block = block_sel
+        if block is None:
+            block = delinearize(int(np.min(ctx.flat_block_id)), ctx.grid_dim)
         raise KernelFault(message, kernel=kernel_name, block=block, injected=True)
 
     def wrapped(ctx, *args):

@@ -13,10 +13,14 @@ Two lane-batching modes exist:
 * ``"vector"`` — for ``sync_free`` kernels: lanes may span many blocks
   (the batch is a contiguous range of global flat thread ids).  Shared
   memory and barriers are unavailable, exactly like the MapEngine.
-* ``"wave"`` — for barrier-only cooperative kernels: one batch is one
-  block, executed in lockstep.  Because every NumPy statement completes
-  for all lanes before the next begins, ``sync_threads`` is already
-  satisfied structurally and only needs to count.
+* ``"wave"`` — for barrier-only cooperative kernels: one batch is a range
+  of whole blocks, executed in lockstep.  Because every NumPy statement
+  completes for all lanes before the next begins, ``sync_threads`` is
+  already satisfied structurally and only needs to count.  Each block
+  keeps its own shared memory: a shared array is block-stacked storage
+  (:class:`~repro.gpu.shared.BlockShared`) that every lane indexes in its
+  own block's copy, so a hand-batched body indexes it per lane
+  (``tile[i]``, ``load``/``store``) and never uses it as a whole array.
 
 Behavioural counters are kept *exact*: every counted operation increments
 its counter by the number of live lanes, so a launch reports the same
@@ -33,9 +37,9 @@ import numpy as np
 
 from ..errors import SyncError
 from ..faults.memcheck import get_memcheck as _get_memcheck
-from .dim import Dim3, linearize
+from .dim import Dim3
 from .memory import DevicePointer
-from .shared import SharedMemory
+from .shared import BlockShared, SharedMemory
 
 __all__ = ["VecDim3", "VectorThreadCtx"]
 
@@ -85,7 +89,7 @@ class VectorThreadCtx:
 
     __slots__ = (
         "_device", "_mode", "_grid", "_bdim", "block_idx", "thread_idx",
-        "_flat", "_gflat", "_lanes", "_live", "_shared",
+        "_flat", "_gflat", "_bflat", "_lanes", "_live", "_shared",
         "n_barriers", "n_warp_collectives", "n_global_derefs", "n_shared_decls",
     )
 
@@ -96,7 +100,7 @@ class VectorThreadCtx:
         block_dim: Dim3,
         *,
         mode: str,
-        block_idx: Optional[Dim3] = None,
+        blocks: Optional[range] = None,
         global_flat: Optional[np.ndarray] = None,
         shared_bytes: int = 0,
     ) -> None:
@@ -105,25 +109,26 @@ class VectorThreadCtx:
         self._grid = grid_dim
         self._bdim = block_dim
         if mode == "wave":
-            if block_idx is None:
-                raise ValueError("wave mode requires a block index")
-            self.block_idx = block_idx
-            self._flat = np.arange(block_dim.volume, dtype=np.int64)
-            base = linearize(block_idx, grid_dim) * block_dim.volume
-            self._gflat = base + self._flat
-            self._shared: Optional[SharedMemory] = SharedMemory(
-                device.spec.shared_mem_per_block, shared_bytes
-            )
+            if blocks is None:
+                raise ValueError("wave mode requires a block range")
+            volume = block_dim.volume
+            global_flat = np.arange(blocks.start * volume, blocks.stop * volume, dtype=np.int64)
         elif mode == "vector":
             if global_flat is None:
                 raise ValueError("vector mode requires a global flat id range")
-            self._gflat = global_flat
-            self._flat = global_flat % block_dim.volume
-            self.block_idx = _split_flat(global_flat // block_dim.volume, grid_dim)
-            self._shared = None
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown vector mode {mode!r}")
+        self._gflat = global_flat
+        self._flat = global_flat % block_dim.volume
+        self._bflat = global_flat // block_dim.volume
+        self.block_idx = _split_flat(self._bflat, grid_dim)
         self.thread_idx = _split_flat(self._flat, block_dim)
+        self._shared: Optional[SharedMemory] = None
+        if mode == "wave":
+            self._shared = SharedMemory(
+                device.spec.shared_mem_per_block, shared_bytes,
+                rows=self._bflat - blocks.start,
+            )
         self._lanes = int(self._flat.shape[0])
         self._live = self._lanes
         # Behavioural counters, harvested into KernelStats by the engines.
@@ -169,11 +174,9 @@ class VectorThreadCtx:
         return self._flat
 
     @property
-    def flat_block_id(self):
-        """Per-lane flat block id (scalar in wave mode)."""
-        if self._mode == "wave":
-            return linearize(self.block_idx, self._grid)
-        return self._gflat // self._bdim.volume
+    def flat_block_id(self) -> np.ndarray:
+        """Per-lane flat block id."""
+        return self._bflat
 
     @property
     def global_id_x(self) -> np.ndarray:
@@ -231,8 +234,8 @@ class VectorThreadCtx:
         self.n_global_derefs += self._live
         return self._device.allocator.view(ptr, shape, dtype)
 
-    def shared_array(self, name: str, shape, dtype) -> np.ndarray:
-        """Declare/get a ``__shared__`` array for this block (wave mode only)."""
+    def shared_array(self, name: str, shape, dtype) -> BlockShared:
+        """Declare/get a ``__shared__`` array, one copy per block (wave mode only)."""
         if self._shared is None:
             raise SyncError(
                 "shared memory requested from a kernel launched on the "
@@ -242,8 +245,8 @@ class VectorThreadCtx:
         self.n_shared_decls += self._live
         return self._shared.array(name, shape, dtype)
 
-    def dynamic_shared(self, dtype) -> np.ndarray:
-        """The dynamic (``extern __shared__``) region (wave mode only)."""
+    def dynamic_shared(self, dtype) -> BlockShared:
+        """The dynamic (``extern __shared__``) region per block (wave mode only)."""
         if self._shared is None:
             raise SyncError(
                 "dynamic shared memory requested from a kernel launched on "
@@ -371,6 +374,8 @@ class VectorThreadCtx:
             return
         idx, ok = np.broadcast_arrays(idx, ok)
         vals = np.broadcast_to(np.asarray(value, dtype=view.dtype), idx.shape)
+        if isinstance(view, BlockShared):
+            view = view.restrict(ok)
         view[idx[ok]] = vals[ok]
 
     def loop_max(self, count):

@@ -58,9 +58,9 @@ def verification_matrix() -> List[VerificationCell]:
     return cells
 
 
-def render_verification() -> str:
-    """The verification matrix as an ASCII table."""
-    cells = verification_matrix()
+def render_verification(cells: Optional[List[VerificationCell]] = None) -> str:
+    """The verification matrix as an ASCII table (run now unless ``cells``)."""
+    cells = verification_matrix() if cells is None else cells
     rows = []
     for cell in cells:
         status = "ok" if cell.passed else f"FAIL ({cell.error or 'checksum'})"

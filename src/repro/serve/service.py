@@ -184,7 +184,7 @@ class KernelService:
         # Device resets the service performed, by the fault that forced
         # them, until that fault's tenant claims them for its report.
         self._heal_lock = threading.Lock()
-        self._owed_resets: Dict[tuple, List[int]] = {}
+        self._owed_resets: Dict[KernelFault, List[int]] = {}
         self._workers = [
             threading.Thread(
                 target=self._dispatch_loop,
@@ -534,7 +534,7 @@ class KernelService:
                         ompx_device_reset(device=device.ordinal)
                         healed.append((device.ordinal, fault))
             for ordinal, fault in healed:
-                self._owed_resets.setdefault(_fault_key(fault), []).append(ordinal)
+                self._owed_resets.setdefault(fault, []).append(ordinal)
 
     def _claim_resets(self, exc: BaseException,
                       report: RecoveryReport) -> None:
@@ -544,7 +544,7 @@ class KernelService:
         fault = next(e for e in exception_chain(exc)
                      if isinstance(e, KernelFault))
         with self._heal_lock:
-            ordinals = self._owed_resets.pop(_fault_key(fault), [])
+            ordinals = self._owed_resets.pop(fault, [])
         for ordinal in ordinals:
             report.record("resets", f"device {ordinal}: serve heal after a fault")
 
@@ -695,11 +695,3 @@ class KernelService:
             f"<KernelService {len(self._admission.tenants)} tenant(s) "
             f"over {self.backend!r} ({state})>"
         )
-
-
-def _fault_key(fault: BaseException) -> tuple:
-    """Identify a kernel fault, also after a cluster worker pickled it:
-    by type and message.  Field equality would not do, because an injected
-    fault on a lane engine holds per-lane index arrays in ``block``, and
-    those compare by identity."""
-    return type(fault), fault.args

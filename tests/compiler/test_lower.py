@@ -355,6 +355,36 @@ def test_barriers_and_shared_memory_lower_to_wave(nvidia):
            scalar="block-thread", lanes="wave")
 
 
+def odd_blocks_flag(ctx, d_out, n):
+    flag = ctx.shared_array("flag", 1, np.float64)
+    if ctx.flat_block_id % 2 == 1:
+        flag[0] = 7.0
+    ctx.sync_threads()
+    ctx.deref(d_out, n, np.float64)[ctx.global_flat_id] = flag[0]
+
+
+def block_rows(ctx, d_out, n):
+    rows = ctx.shared_array("rows", (2, 8), np.float64)
+    t = ctx.thread_idx.x
+    rows[0][t] = ctx.flat_block_id * 1.0
+    rows[1][t] = t * 1.0
+    ctx.sync_threads()
+    acc = 0.0
+    for k in range(8):
+        acc += rows[0][k] * 10.0 + rows[1][k]
+    ctx.deref(d_out, n, np.float64)[ctx.global_flat_id] = acc
+
+
+@pytest.mark.parametrize("kernel", [odd_blocks_flag, block_rows],
+                         ids=lambda k: k.__name__)
+def test_each_block_of_a_wave_batch_keeps_its_own_shared_memory(nvidia, kernel):
+    # A uniform store under a lane mask lands only in the blocks with a
+    # live lane, and a row of a 2-D shared array is the lane's own block's.
+    (got,), _ = _agree(nvidia, kernel, 5, 8, [], [np.zeros(40)], (40,),
+                       scalar="block-thread", lanes="wave")
+    assert len(np.unique(got)) > 1
+
+
 def test_pinned_vector_runs_the_lowered_body_and_traces_it(nvidia):
     src = np.arange(20, dtype=np.float64)
     tracer = trace.enable()

@@ -6,6 +6,8 @@ ends (CUDA, HIP, OpenMP ``target``, ompx) observe the *same* sticky
 error on their next call, and ``ompx_device_reset()`` recovers.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.errors import (
     StickyContextError,
 )
 from repro.gpu import LaunchConfig, get_device, launch_kernel
+from repro.gpu.dim import Dim3
 from repro.ompx import (
     bare_kernel,
     ompx_device_reset,
@@ -46,6 +49,10 @@ def hip_noop(t):
 
 @bare_kernel
 def ompx_noop(x):
+    pass
+
+
+def quiet(ctx):
     pass
 
 
@@ -159,6 +166,24 @@ class TestBlockSelectiveBarrierFault:
             )
         assert stats.threads_run == 8
         assert not clean_device.is_poisoned
+
+
+class TestFaultBlockOnEveryEngine:
+    """An injected fault names one plain block on every engine, so it
+    equals its own pickled copy (what a cluster worker sends back)."""
+
+    @pytest.mark.parametrize("engine", ["block-thread", "map", "vector", "wave"])
+    def test_fault_names_the_first_block_as_a_dim3(self, clean_device, engine):
+        with faults.inject("launch:kernel_fault,kernel=quiet"):
+            with pytest.raises(LaunchError) as ei:
+                launch_kernel(
+                    LaunchConfig.create(3, 8, engine=engine), quiet, (), clean_device
+                )
+        fault = ei.value.__cause__
+        assert isinstance(fault, KernelFault)
+        assert fault.block == Dim3(0, 0, 0)
+        assert "block=(0, 0, 0)" in str(fault)
+        assert pickle.loads(pickle.dumps(fault)) == fault
 
 
 class TestResetSemantics:

@@ -179,6 +179,29 @@ class TestBlockThreadEngine:
         assert out[0] == 2.5
         nvidia.allocator.free(d_out)
 
+    @pytest.mark.parametrize("engine", [None, "block-thread", "wave"])
+    def test_dynamic_shared_via_config_per_block(self, nvidia, engine):
+        grid = 5
+        d_out = nvidia.allocator.malloc(grid * 8)
+
+        def kernel(ctx, out):
+            dyn = ctx.dynamic_shared(np.float64)
+            if ctx.flat_thread_id == 0:
+                dyn[0] = 2.5 + ctx.flat_block_id
+            ctx.sync_threads()
+            if ctx.flat_thread_id == 1:
+                ctx.deref(out, grid, np.float64)[ctx.flat_block_id] = dyn[0]
+
+        stats = launch_kernel(
+            LaunchConfig.create(grid, 2, shared_bytes=64, engine=engine),
+            kernel, (d_out,), nvidia,
+        )
+        assert stats.engine == (engine or "wave")
+        out = np.zeros(grid)
+        nvidia.allocator.memcpy_d2h(out, d_out)
+        assert np.array_equal(out, 2.5 + np.arange(grid))
+        nvidia.allocator.free(d_out)
+
 
 class TestMapEngine:
     def test_runs_all_threads(self, any_device):

@@ -8,9 +8,12 @@ load-bearing guarantee of the WaveVectorEngine: it is an execution
 strategy, not a numerical approximation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.gpu.engine as engine_mod
 import repro.gpu.launch as launch_mod
 from repro.apps import PORTFOLIO_APPS, VersionLabel
 from repro.gpu import get_device
@@ -74,14 +77,14 @@ class _ForcedEngine:
         return stats
 
 
-def _run_forced(app, params, engine_name, device):
-    """Run the app's CUDA variant with every launch pinned to one engine."""
+def _run_forced(app, params, engine_name, device, variant=VersionLabel.NATIVE_LLVM):
+    """Run one app variant (CUDA by default) with every launch pinned to one engine."""
     log = []
     proxy = _ForcedEngine(_ENGINES_BY_NAME[engine_name], log)
     original = launch_mod.select_engine
     launch_mod.select_engine = lambda *a, **k: proxy
     try:
-        result = app.run_single(VersionLabel.NATIVE_LLVM, params, device)
+        result = app.run_single(variant, params, device)
     finally:
         launch_mod.select_engine = original
     return result, log
@@ -140,3 +143,41 @@ def test_auto_selection_matches_forced_block_thread():
     auto = app.run_single(VersionLabel.NATIVE_LLVM, params, device)
     forced, _ = _run_forced(app, params, "block-thread", device)
     assert np.array_equal(auto.output, forced.output)
+
+
+#: (app, variant, params override, blocks per wave batch).  Stencil-1D's
+#: functional grid is 16 blocks of 64 threads and AIDW's below 7 blocks of
+#: 32: ``None`` keeps the default bound (one batch); the others split the
+#: grid into several full batches or leave a partial last one.
+WAVE_BATCHES = [
+    ("Stencil 1D", VersionLabel.NATIVE_LLVM, {}, None),
+    ("Stencil 1D", VersionLabel.NATIVE_LLVM, {}, 4),
+    ("Stencil 1D", VersionLabel.NATIVE_LLVM, {}, 3),
+    ("Stencil 1D", VersionLabel.OMPX, {}, None),
+    ("Stencil 1D", VersionLabel.OMPX, {}, 3),
+    ("AIDW", VersionLabel.OMPX, {"inum": 200}, None),
+    ("AIDW", VersionLabel.OMPX, {"inum": 200}, 1),
+    ("AIDW", VersionLabel.OMPX, {"inum": 200}, 3),
+    ("AIDW", VersionLabel.NATIVE_LLVM, {"inum": 200}, 3),
+]
+
+
+@pytest.mark.parametrize("app_name,variant,override,per_batch", WAVE_BATCHES, ids=str)
+def test_wave_batches_of_many_blocks_agree_with_block_thread(
+    monkeypatch, app_name, variant, override, per_batch
+):
+    """However ``wave`` splits a grid into batches, each block keeps its own
+    shared memory: bytes and KernelStats (but ``engine``) match ``block-thread``."""
+    app = _APPS_BY_NAME[app_name]()
+    params = dict(app.functional_params(), **override)
+    device = get_device(0)
+    ref, ref_log = _run_forced(app, params, "block-thread", device, variant)
+    if per_batch is not None:
+        monkeypatch.setattr(engine_mod, "_VECTOR_CHUNK_THREADS", per_batch * params["block"])
+    got, got_log = _run_forced(app, params, "wave", device, variant)
+    assert all(stats.engine == "wave" for stats in got_log)
+    assert got.output.tobytes() == ref.output.tobytes()
+    assert [dataclasses.replace(s, engine="") for s in got_log] == [
+        dataclasses.replace(s, engine="") for s in ref_log
+    ]
+    assert app.verify(got, params)

@@ -167,7 +167,9 @@ class TestWaveMode:
         nvidia.allocator.free(d_out)
 
     def test_wave_blocks_do_not_share_shared_memory(self, nvidia):
-        grid, block = 3, 4
+        # 300 blocks run as one wave batch: each lane must still see only
+        # its own block's copy of ``acc``.
+        grid, block = 300, 4
         n = grid * block
 
         def kernel(ctx, out):
@@ -178,9 +180,10 @@ class TestWaveMode:
             ctx.store(view, ctx.global_flat_id, ctx.load(acc, 0))
 
         d_out = nvidia.allocator.malloc(n * 8)
-        launch_kernel(
+        stats = launch_kernel(
             LaunchConfig.create(grid, block, engine="wave"), kernel, (d_out,), nvidia
         )
+        assert stats.blocks_run == grid
         out = np.zeros(n)
         nvidia.allocator.memcpy_d2h(out, d_out)
         expected = np.repeat(np.arange(grid) * 10.0, block)

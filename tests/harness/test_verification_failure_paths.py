@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.harness.cli as cli_mod
 import repro.harness.verification as verification_mod
 from repro.apps import Stencil1D
 from repro.harness.verification import verification_matrix
@@ -58,3 +59,21 @@ class TestFailureReporting:
         text = verification_mod.render_verification()
         assert "FAIL" in text
         assert "0 failure(s)" not in text
+
+
+class TestCliExitCode:
+    """``repro-figures`` exits 1 when a check it prints fails."""
+
+    def test_failing_verification_cell_exits_1(self, only_stencil, capsys):
+        only_stencil(_CorruptedStencil)
+        assert cli_mod.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "0 failure(s)" not in out
+
+    def test_failing_paper_claim_exits_1(self, monkeypatch, capsys):
+        relations = cli_mod.figure8_relations()
+        assert cli_mod.main(["relations"]) == 0
+        broken = [(relations[0][0], False)] + relations[1:]
+        monkeypatch.setattr(cli_mod, "figure8_relations", lambda: broken)
+        assert cli_mod.main(["relations"]) == 1
+        assert "FAIL" in capsys.readouterr().out
