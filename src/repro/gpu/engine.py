@@ -35,8 +35,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import LaunchError
 from .atomics import AtomicDomain
 from .context import BlockState, ThreadCtx
@@ -322,8 +320,9 @@ class WaveVectorEngine(Engine):
         for start in range(0, grid.volume, per_batch):
             blocks = range(start, min(start + per_batch, grid.volume))
             ctx = VectorThreadCtx(
-                device, grid, block,
-                mode="wave", blocks=blocks, shared_bytes=shared_bytes,
+                device, grid, block, mode="wave",
+                lanes=range(blocks.start * block.volume, blocks.stop * block.volume),
+                shared_bytes=shared_bytes,
             )
             try:
                 kernel(ctx, *args)
@@ -351,9 +350,7 @@ class WaveVectorEngine(Engine):
         for start in range(0, total, _VECTOR_CHUNK_THREADS):
             stop = min(start + _VECTOR_CHUNK_THREADS, total)
             ctx = VectorThreadCtx(
-                device, grid, block,
-                mode="vector",
-                global_flat=np.arange(start, stop, dtype=np.int64),
+                device, grid, block, mode="vector", lanes=range(start, stop),
             )
             try:
                 kernel(ctx, *args)

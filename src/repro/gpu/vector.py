@@ -22,6 +22,14 @@ Two lane-batching modes exist:
   own block's copy, so a hand-batched body indexes it per lane
   (``tile[i]``, ``load``/``store``) and never uses it as a whole array.
 
+Both modes run a batch as one contiguous range of global flat ids, so its
+index arrays need no per-lane division: the batch's few block ids and one
+block's thread ids are decomposed once and laid out to lanes.  The arrays
+are read-only, because equal indices share one array.  ``load``/``store``
+check an index vector once (integer dtype, every lane in range, every
+lane masked in) and then gather or scatter directly; any other index
+takes the masked path that merges ``fill`` or drops lanes.
+
 Behavioural counters are kept *exact*: every counted operation increments
 its counter by the number of live lanes, so a launch reports the same
 ``barriers``/``global_derefs``/``shared_declarations`` totals the scalar
@@ -31,6 +39,7 @@ engines would.  All lanes are live unless a lowered body
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -73,23 +82,81 @@ class VecDim3:
         return f"VecDim3(lanes={self.x.shape[0]})"
 
 
-def _split_flat(flat: np.ndarray, extent: Dim3) -> VecDim3:
-    """Vector inverse of :func:`repro.gpu.dim.linearize` (x fastest)."""
-    x = flat % extent.x
-    rest = flat // extent.x
-    return VecDim3(x, rest % extent.y, rest // extent.y)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+#: Read-only zeros that the lane array of an extent-1 axis slices (the
+#: engines' batches hold at most 65,536 lanes).
+_ZEROS = _read_only(np.zeros(1 << 16, dtype=np.int64))
+
+
+def _zeros(lanes: int) -> np.ndarray:
+    if lanes <= _ZEROS.shape[0]:
+        return _ZEROS[:lanes]
+    return _read_only(np.zeros(lanes, dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=64)
+def _thread_axes(bx: int, by: int, bz: int) -> tuple:
+    """Flat, x, y and z thread ids of one block, in flat-id order (read-only)."""
+    flat = np.arange(bx * by * bz, dtype=np.int64)
+    rest = flat // bx
+    return tuple(_read_only(a) for a in (flat, flat % bx, rest % by, rest // by))
+
+
+@functools.lru_cache(maxsize=16)
+def _warp_axes(volume: int, warp_size: int) -> tuple:
+    """Lane-in-warp and warp ids of one block's threads (read-only)."""
+    flat = np.arange(volume, dtype=np.int64)
+    return _read_only(flat % warp_size), _read_only(flat // warp_size)
+
+
+def _in_range(idx: np.ndarray, n: int):
+    """Per-lane ``0 <= idx < n``: one unsigned compare for an integer index."""
+    kind = idx.dtype.kind
+    if kind == "i":
+        return idx.view(idx.dtype.str.replace("i", "u")) < n
+    if kind == "u":
+        return idx < n
+    return (idx >= 0) & (idx < n)
+
+
+def _all(flags: np.ndarray) -> bool:
+    # count_nonzero skips the ufunc-reduction set-up that all() pays per call.
+    return np.count_nonzero(flags) == flags.size
+
+
+def _all_lanes(mask, shape) -> bool:
+    """Whether a store mask selects every lane of an index of ``shape``."""
+    if mask is True:
+        return True
+    mask = np.asarray(mask, dtype=bool)
+    return (mask.ndim == 0 or mask.shape == shape) and _all(mask)
 
 
 class VectorThreadCtx:
     """A ThreadCtx-compatible context that stands for a whole batch of lanes.
 
-    Index properties return arrays; memory and counter semantics follow
-    :class:`~repro.gpu.context.ThreadCtx` exactly, scaled by lane count.
+    Index properties return read-only arrays; memory and counter semantics
+    follow :class:`~repro.gpu.context.ThreadCtx` exactly, scaled by lane
+    count.
+
+    ``lanes`` is the batch's contiguous range of global flat thread ids; a
+    ``wave`` batch covers whole blocks.  No index is divided per lane: the
+    batch's few block ids and one block's thread ids are decomposed once,
+    and every index array is their sum laid out as a ``(blocks, threads)``
+    table, of which the batch is one contiguous slice.  Arrays are built
+    on first use; an axis of extent 1 reads a shared zero array, and equal
+    indices share one array (``thread_idx.x`` is ``flat_thread_id`` in a
+    1-D block), which is why none of them is writable.
     """
 
     __slots__ = (
-        "_device", "_mode", "_grid", "_bdim", "block_idx", "thread_idx",
-        "_flat", "_gflat", "_bflat", "_lanes", "_live", "_shared",
+        "_device", "_mode", "_grid", "_bdim", "_start", "_lanes", "_live",
+        "_b0", "_t0", "_nblocks", "_gflat", "_flat", "_bflat", "_block_axes",
+        "_block_idx", "_thread_idx", "_shared",
         "n_barriers", "n_warp_collectives", "n_global_derefs", "n_shared_decls",
     )
 
@@ -100,37 +167,32 @@ class VectorThreadCtx:
         block_dim: Dim3,
         *,
         mode: str,
-        blocks: Optional[range] = None,
-        global_flat: Optional[np.ndarray] = None,
+        lanes: range,
         shared_bytes: int = 0,
     ) -> None:
+        if mode not in ("vector", "wave"):  # pragma: no cover - defensive
+            raise ValueError(f"unknown vector mode {mode!r}")
+        volume = block_dim.volume
         self._device = device
         self._mode = mode
         self._grid = grid_dim
         self._bdim = block_dim
-        if mode == "wave":
-            if blocks is None:
-                raise ValueError("wave mode requires a block range")
-            volume = block_dim.volume
-            global_flat = np.arange(blocks.start * volume, blocks.stop * volume, dtype=np.int64)
-        elif mode == "vector":
-            if global_flat is None:
-                raise ValueError("vector mode requires a global flat id range")
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown vector mode {mode!r}")
-        self._gflat = global_flat
-        self._flat = global_flat % block_dim.volume
-        self._bflat = global_flat // block_dim.volume
-        self.block_idx = _split_flat(self._bflat, grid_dim)
-        self.thread_idx = _split_flat(self._flat, block_dim)
+        self._start = lanes.start
+        self._lanes = len(lanes)
+        self._live = self._lanes
+        self._b0, self._t0 = divmod(lanes.start, volume)
+        self._nblocks = (lanes.stop - 1) // volume - self._b0 + 1
+        self._gflat = self._flat = self._bflat = self._block_axes = None
+        self._block_idx = self._thread_idx = None
         self._shared: Optional[SharedMemory] = None
         if mode == "wave":
+            if self._t0 or lanes.stop % volume:
+                raise ValueError("a wave batch must cover whole blocks")
+            rows = (_zeros(self._lanes) if self._nblocks == 1 else
+                    self._expand(np.arange(self._nblocks, dtype=np.int64), None))
             self._shared = SharedMemory(
-                device.spec.shared_mem_per_block, shared_bytes,
-                rows=self._bflat - blocks.start,
+                device.spec.shared_mem_per_block, shared_bytes, rows=rows,
             )
-        self._lanes = int(self._flat.shape[0])
-        self._live = self._lanes
         # Behavioural counters, harvested into KernelStats by the engines.
         # Each counted call adds one per lane so launch totals match the
         # per-thread sums the scalar engines report.
@@ -138,6 +200,50 @@ class VectorThreadCtx:
         self.n_warp_collectives = 0
         self.n_global_derefs = 0
         self.n_shared_decls = 0
+
+    def _expand(self, per_block, per_thread) -> np.ndarray:
+        """``per_block[b] + per_thread[t]`` for each lane of block ``b``, thread ``t``.
+
+        Either side may be ``None`` (zero).  The ``(blocks, threads)``
+        table is filled in one pass and the batch is its slice starting at
+        the first lane's thread; a one-block batch slices ``per_thread``.
+        """
+        shape = (self._nblocks, self._bdim.volume)
+        if per_block is None:
+            if self._nblocks == 1:
+                return per_thread[self._t0:self._t0 + self._lanes]
+            table = np.empty(shape, dtype=np.int64)
+            table[...] = per_thread
+        elif per_thread is None:
+            table = np.empty(shape, dtype=np.int64)
+            table[...] = per_block[:, None]
+        else:
+            table = np.add(per_block[:, None], per_thread)
+        return _read_only(table.reshape(-1)[self._t0:self._t0 + self._lanes])
+
+    def _blocks(self) -> tuple:
+        """The x, y and z ids of the batch's blocks, one entry per block."""
+        if self._block_axes is None:
+            grid = self._grid
+            ids = np.arange(self._b0, self._b0 + self._nblocks, dtype=np.int64)
+            rest = ids // grid.x
+            self._block_axes = (ids % grid.x, rest % grid.y, rest // grid.y)
+        return self._block_axes
+
+    def _axis(self, axis: int, *, block: bool, thread: bool) -> np.ndarray:
+        """Per-lane ``block_idx[axis] * block_dim[axis] + thread_idx[axis]``,
+        keeping only the named terms."""
+        extent = self._bdim[axis]
+        per_block = per_thread = None
+        if block and self._grid[axis] > 1:
+            per_block = self._blocks()[axis]
+            if thread:
+                per_block = per_block * extent
+        if thread and extent > 1:
+            per_thread = _thread_axes(*self._bdim.as_tuple())[axis + 1]
+        if per_block is None and per_thread is None:
+            return _zeros(self._lanes)
+        return self._expand(per_block, per_thread)
 
     # --- indexing ------------------------------------------------------------
     @property
@@ -169,44 +275,83 @@ class VectorThreadCtx:
         return self._grid
 
     @property
+    def block_idx(self) -> VecDim3:
+        """Per-lane block index."""
+        if self._block_idx is None:
+            if self._grid.y == self._grid.z == 1:
+                self._block_idx = VecDim3(
+                    self.flat_block_id, _zeros(self._lanes), _zeros(self._lanes))
+            else:
+                self._block_idx = VecDim3(*(
+                    self._axis(a, block=True, thread=False) for a in range(3)))
+        return self._block_idx
+
+    @property
+    def thread_idx(self) -> VecDim3:
+        """Per-lane thread index within the block."""
+        if self._thread_idx is None:
+            if self._bdim.y == self._bdim.z == 1:
+                self._thread_idx = VecDim3(
+                    self.flat_thread_id, _zeros(self._lanes), _zeros(self._lanes))
+            else:
+                self._thread_idx = VecDim3(*(
+                    self._axis(a, block=False, thread=True) for a in range(3)))
+        return self._thread_idx
+
+    @property
     def flat_thread_id(self) -> np.ndarray:
         """Per-lane flat thread id within the block (x fastest)."""
+        if self._flat is None:
+            volume = self._bdim.volume
+            self._flat = (_zeros(self._lanes) if volume == 1 else
+                          self._expand(None, _thread_axes(*self._bdim.as_tuple())[0]))
         return self._flat
 
     @property
     def flat_block_id(self) -> np.ndarray:
         """Per-lane flat block id."""
+        if self._bflat is None:
+            if self._nblocks == 1 and self._b0 == 0:
+                self._bflat = _zeros(self._lanes)
+            else:
+                ids = np.arange(self._b0, self._b0 + self._nblocks, dtype=np.int64)
+                self._bflat = self._expand(ids, None)
         return self._bflat
 
     @property
     def global_id_x(self) -> np.ndarray:
         """``blockIdx.x * blockDim.x + threadIdx.x`` per lane."""
-        return self.block_idx.x * self._bdim.x + self.thread_idx.x
+        if self._grid.y == self._grid.z == self._bdim.y == self._bdim.z == 1:
+            return self.global_flat_id
+        return self._axis(0, block=True, thread=True)
 
     @property
     def global_id_y(self) -> np.ndarray:
         """Per-lane global y index."""
-        return self.block_idx.y * self._bdim.y + self.thread_idx.y
+        return self._axis(1, block=True, thread=True)
 
     @property
     def global_id_z(self) -> np.ndarray:
         """Per-lane global z index."""
-        return self.block_idx.z * self._bdim.z + self.thread_idx.z
+        return self._axis(2, block=True, thread=True)
 
     @property
     def global_flat_id(self) -> np.ndarray:
         """Per-lane flat id across the whole launch (block-major, x fastest)."""
+        if self._gflat is None:
+            self._gflat = _read_only(np.arange(
+                self._start, self._start + self._lanes, dtype=np.int64))
         return self._gflat
 
     @property
     def lane_id(self) -> np.ndarray:
         """Per-lane lane index within its warp."""
-        return self._flat % self.warp_size
+        return self._expand(None, _warp_axes(self._bdim.volume, self.warp_size)[0])
 
     @property
     def warp_id(self) -> np.ndarray:
         """Per-lane warp index within the block."""
-        return self._flat // self.warp_size
+        return self._expand(None, _warp_axes(self._bdim.volume, self.warp_size)[1])
 
     @property
     def warp_size(self) -> int:
@@ -341,16 +486,25 @@ class VectorThreadCtx:
         return np.where(cond, a, b)
 
     def load(self, view, index, fill=0):
-        """Bounds-guarded gather: ``view[index]`` where in range, else ``fill``."""
+        """Bounds-guarded gather: ``view[index]`` where in range, else ``fill``.
+
+        An integer index vector whose every lane is in range gathers
+        directly; anything else merges the gather with ``fill`` per lane.
+        """
         checker = _get_memcheck()
         if checker is not None:
             checker.check_load(view, index)
         idx = np.asarray(index)
         n = view.shape[0]
-        ok = (idx >= 0) & (idx < n)
+        ok = _in_range(idx, n)
         if idx.ndim == 0:
             i = int(idx)
             return view[i] if bool(ok) else view.dtype.type(fill)
+        if idx.dtype.kind in "iu" and _all(ok):
+            return view[idx]
+        if n == 0:
+            return np.full(idx.shape + tuple(view.shape[1:]), view.dtype.type(fill),
+                           dtype=view.dtype)
         out = view[np.where(ok, idx, 0)]
         okb = ok.reshape(ok.shape + (1,) * (out.ndim - ok.ndim)) if out.ndim > ok.ndim else ok
         return np.where(okb, out, view.dtype.type(fill))
@@ -358,16 +512,24 @@ class VectorThreadCtx:
     def store(self, view, index, value, mask=True):
         """Bounds-guarded masked scatter: ``view[index] = value`` where allowed.
 
-        Under :func:`repro.faults.memcheck`, a masked-in lane whose index
-        is out of range raises :class:`MemcheckError` instead of being
-        silently dropped.
+        An integer index vector whose every lane is in range and masked in
+        scatters directly; anything else drops the lanes that are not.
+        Either way a repeated index keeps the last lane's value.  Under
+        :func:`repro.faults.memcheck`, a masked-in lane whose index is out
+        of range raises :class:`MemcheckError` instead of being silently
+        dropped.
         """
         checker = _get_memcheck()
         if checker is not None:
             checker.check_store(view, index, mask)
         idx = np.asarray(index)
-        n = view.shape[0]
-        ok = (idx >= 0) & (idx < n) & np.asarray(mask, dtype=bool)
+        ok = _in_range(idx, view.shape[0])
+        if (idx.ndim and idx.dtype.kind in "iu" and _all_lanes(mask, idx.shape)
+                and _all(ok)):
+            vals = np.asarray(value, dtype=view.dtype)
+            view[idx] = vals if vals.shape == idx.shape else np.broadcast_to(vals, idx.shape)
+            return
+        ok = ok & np.asarray(mask, dtype=bool)
         if idx.ndim == 0 and np.ndim(ok) == 0:
             if bool(ok):
                 view[int(idx)] = value

@@ -24,6 +24,7 @@ Semantics per the paper:
 from __future__ import annotations
 
 import functools
+import inspect
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -161,11 +162,15 @@ def target_teams_bare(
 
 
 def _region_wants_acc(region: Callable, args: Sequence) -> bool:
-    import inspect
-
     fn = region.fn if isinstance(region, BareKernel) else region
-    try:
-        params = list(inspect.signature(fn).parameters)
-    except (TypeError, ValueError):
-        return False
+    params = _param_names(fn)
     return bool(params) and params[-1] == "acc" and len(params) == len(args) + 2
+
+
+@functools.lru_cache(maxsize=256)
+def _param_names(fn: Callable) -> Tuple[str, ...]:
+    """A region function's parameter names, read once per function."""
+    try:
+        return tuple(inspect.signature(fn).parameters)
+    except (TypeError, ValueError):
+        return ()

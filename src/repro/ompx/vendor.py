@@ -192,6 +192,59 @@ def _stride_check(op: str, param: str, stride: int, minimum: int) -> None:
         )
 
 
+#: Output elements per slice of a batched GEMM: one slice's accumulators
+#: and product buffers stay in cache across its ``k`` rank-1 updates.
+_GEMM_SLICE = 1 << 14
+
+
+def _batch_innermost(stack: np.ndarray, axes) -> np.ndarray:
+    """A ``(batch, rows, cols)`` stack transposed by ``axes`` (which put the
+    batch last) into contiguous planes: one real plane, or a complex stack's
+    real and imaginary planes.  A stride-0 (broadcast) stack stays one
+    matrix (batch extent 1)."""
+    if stack.strides[0] == 0:
+        stack = stack[:1]
+    t = stack.transpose(axes)
+    if stack.dtype.kind != "c":
+        return np.ascontiguousarray(t)[None]
+    planes = np.empty((2,) + t.shape, t.real.dtype)
+    planes[0], planes[1] = t.real, t.imag
+    return planes
+
+
+def _rank1_updates(left, right, acc) -> None:
+    """``acc += left[:, kk] * right[kk]`` for ``kk`` ascending, per plane.
+
+    ``left`` is ``(planes, k, rows, 1, batch)``, ``right`` ``(planes, k, 1,
+    n, batch)`` and ``acc`` ``(planes, rows, n, batch)``; two planes hold a
+    complex product's real and imaginary parts, ``(ac - bd, ad + bc)``.
+    The products of as many steps as fill about ``_GEMM_SLICE`` elements
+    come from one NumPy call; each is then added on its own, in order.
+    """
+    k = left.shape[1]
+    step = min(k, max(1, _GEMM_SLICE // (acc.size // len(acc))))
+    prod = np.empty((len(acc), step) + acc.shape[1:], acc.dtype)
+    if len(acc) == 1:
+        (a,), (p,) = acc, prod
+        for k0 in range(0, k, step):
+            for pk in np.multiply(left[0, k0:k0 + step], right[0, k0:k0 + step],
+                                  p[:min(step, k - k0)]):
+                np.add(a, pk, a)
+        return
+    (a_re, a_im), (p, q) = acc, prod
+    for k0 in range(0, k, step):
+        (lr, li), (rr, ri) = left[:, k0:k0 + step], right[:, k0:k0 + step]
+        p_k, q_k = p[:len(lr)], q[:len(lr)]
+        np.multiply(lr, rr, p_k)
+        np.multiply(li, ri, q_k)
+        for pk in np.subtract(p_k, q_k, p_k):
+            np.add(a_re, pk, a_re)
+        np.multiply(lr, ri, p_k)
+        np.multiply(li, rr, q_k)
+        for pk in np.add(p_k, q_k, p_k):
+            np.add(a_im, pk, a_im)
+
+
 # --- the simulated vendor libraries ------------------------------------------
 
 class BlasBackend:
@@ -256,37 +309,56 @@ class BlasBackend:
     def _batched_update(left, right, cm, alpha, beta) -> None:
         """``C = alpha*left@right + beta*C`` over ``(batch, ., .)`` stacks.
 
-        The accumulation runs over ``k`` in ascending order with one
-        vectorized rank-1 update per step — a *deterministic* order, so a
-        batch computes bit-identically however it is sharded (each batch
-        entry's arithmetic is independent of the others).  ``beta == 0``
-        never reads C, per the BLAS contract.
+        The accumulation runs over ``k`` in ascending order, one rank-1
+        update per step, starting from zero: a *deterministic* order, so
+        every output element is bit-identical to a scalar triple loop
+        however the batch is sharded (each batch entry's arithmetic is
+        independent of the others).  ``beta == 0`` never reads C, per the
+        BLAS contract.
 
-        Complex products are expanded into real-plane arithmetic,
-        ``(ac - bd, ad + bc)``: every real multiply/add is individually
-        correctly rounded, whereas numpy's complex-multiply ufunc may
-        contract with FMA on SIMD paths.  The expansion is what makes the
-        simulated library call bit-identical to a scalar triple loop.
+        Layout: the operands are copied once with the batch axis innermost
+        and contiguous (a stride-0 operand stays one matrix, broadcast), and
+        so is the accumulator.  It fills in slices of about ``_GEMM_SLICE``
+        elements (rows of C times a span of the batch): each rank-1 update
+        is a few whole-slice NumPy calls into preallocated product buffers.
+
+        Complex products are expanded into real-plane arithmetic in the
+        output's real dtype, ``(ac - bd, ad + bc)``: every real
+        multiply/add is individually correctly rounded, whereas numpy's
+        complex-multiply ufunc may contract with FMA on SIMD paths.  The
+        expansion is what makes the simulated library call bit-identical
+        to a scalar triple loop.
         """
-        acc = np.zeros(
-            (left.shape[0], left.shape[1], right.shape[2]), dtype=cm.dtype
-        )
-        is_complex = np.issubdtype(acc.dtype, np.complexfloating)
-        for kk in range(left.shape[2]):
-            lcol = left[:, :, kk, None]
-            rrow = right[:, None, kk, :]
-            if is_complex:
-                lr, li = lcol.real, lcol.imag
-                rr, ri = rrow.real, rrow.imag
-                acc.real += lr * rr - li * ri
-                acc.imag += lr * ri + li * rr
-            else:
-                acc += lcol * rrow
+        batch, m, n = cm.shape
+        if not cm.size:
+            return
+        lt = _batch_innermost(left, (2, 1, 0))[..., None, :]  # (planes, k, m, 1, batch | 1)
+        rt = _batch_innermost(right, (1, 2, 0))[:, :, None]   # (planes, k, 1, n, batch | 1)
+        acc = np.zeros((len(rt), m, n, batch), rt.dtype)
+        if m * n * batch <= _GEMM_SLICE:
+            _rank1_updates(lt, rt, acc)
+        else:
+            span = min(batch, max(1, _GEMM_SLICE // n))
+            rows = max(1, _GEMM_SLICE // (n * span))
+            for b0 in range(0, batch, span):
+                bs = slice(b0, b0 + span)
+                r = rt if rt.shape[4] == 1 else rt[..., bs]
+                l = lt if lt.shape[4] == 1 else lt[..., bs]
+                for i0 in range(0, m, rows):
+                    _rank1_updates(l[:, :, i0:i0 + rows], r, acc[:, i0:i0 + rows, :, bs])
+        if len(acc) == 1:
+            # alpha * x is x itself when alpha is 1.
+            update = acc[0] if alpha == 1 else alpha * acc[0]
+        else:
+            update = np.empty(acc.shape[1:], cm.dtype)
+            update.real, update.imag = acc
+            np.multiply(alpha, update, out=update)
+        update = update.transpose(2, 0, 1)
         if beta == 0:
-            cm[...] = alpha * acc
+            cm[...] = update
         else:
             cm *= beta
-            cm += alpha * acc
+            cm += update
 
     # --- level 3 -------------------------------------------------------------
     def gemm(self, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, dtype) -> None:

@@ -60,8 +60,7 @@ class TestVectorMode:
         grid, block = Dim3(3, 2, 1), Dim3(8, 4, 1)
         ctx = VectorThreadCtx(
             nvidia, grid, block,
-            mode="vector",
-            global_flat=np.arange(grid.volume * block.volume, dtype=np.int64),
+            mode="vector", lanes=range(grid.volume * block.volume),
         )
         assert np.array_equal(
             ctx.global_id_x, ctx.block_idx.x * block.x + ctx.thread_idx.x

@@ -110,6 +110,29 @@ class TestBareSemantics:
         )
         assert np.array_equal(b, a * 2)
 
+    def test_region_signature_is_read_once(self, nvidia, monkeypatch):
+        """Whether a region takes the accessor is read once per function;
+        the argument count is still compared on every launch."""
+        import inspect
+
+        import repro.ompx.bare as bare_mod
+
+        reads = []
+        real_signature = inspect.signature
+        monkeypatch.setattr(inspect, "signature",
+                            lambda fn: reads.append(fn) or real_signature(fn))
+        out = np.zeros(8)
+
+        def region(x, scale, acc):
+            acc.mapped(out)[x.thread_id_x()] += scale
+
+        for scale in (1.0, 2.0, 3.0):
+            ompx.target_teams_bare(nvidia, 1, 8, region, (scale,),
+                                   maps=[(out, "tofrom")])
+        assert np.array_equal(out, np.full(8, 6.0))
+        assert reads.count(region) == 1
+        assert not bare_mod._region_wants_acc(region, ())
+
 
 class TestMultiDim:
     def test_three_dimensional_launch(self, nvidia):

@@ -614,3 +614,163 @@ class TestModeledPerformance:
 
     def test_abstract_backend_is_not_registered(self):
         assert BlasBackend not in ompx.registered_backends().values()
+
+
+def scalar_gemm(a, b, c, alpha, beta):
+    """``alpha * a @ b + beta * c`` one output element at a time.
+
+    The exactness oracle for the batched GEMMs: ``a``/``b``/``c`` are
+    ``(batch, ., .)`` stacks of logical matrices, and every element sums
+    its products in ascending ``k`` from zero in its real dtype's own
+    arithmetic.  Complex values go through real planes, ``(ac - bd, ad +
+    bc)``, and so do ``alpha`` and ``beta``.
+    """
+    rt = c.real.dtype.type
+    cplx = np.iscomplexobj(c)
+
+    def parts(z):
+        return (rt(z.real), rt(z.imag)) if cplx else (rt(z), rt(0))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    al, be = parts(alpha), parts(beta)
+    out = np.empty_like(c)
+    batch, m, k = a.shape
+    for s in range(batch):
+        for i in range(m):
+            for j in range(b.shape[2]):
+                re = im = rt(0)
+                for kk in range(k):
+                    if cplx:
+                        p = mul(parts(a[s, i, kk]), parts(b[s, kk, j]))
+                        re, im = re + p[0], im + p[1]
+                    else:
+                        re = re + a[s, i, kk] * b[s, kk, j]
+                if cplx:
+                    v = mul(al, (re, im))
+                    if beta != 0:
+                        w = mul(parts(c[s, i, j]), be)
+                        v = (w[0] + v[0], w[1] + v[1])
+                    out[s, i, j] = complex(v[0], v[1])
+                else:
+                    v = al[0] * re
+                    out[s, i, j] = v if beta == 0 else c[s, i, j] * be[0] + v
+    return out
+
+
+def _random_stack(rng, dtype, shape):
+    x = rng.standard_normal(shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        x = x + 1j * rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+def _strided_gemm(device, dtype, transa, transb, a, b, c, alpha, beta,
+                  broadcast=""):
+    """Run one strided-batched GEMM over logical stacks; returns C.
+
+    ``broadcast`` names the operand (``"a"``/``"b"``) stored once with
+    stride 0; its stack must repeat one matrix.
+    """
+    batch, m, k = a.shape
+    n = b.shape[2]
+    handle = ompx.ompxblas_create(device)
+    alloc = device.allocator
+    a_st = [x if transa == "N" else x.T for x in a[:1 if broadcast == "a" else batch]]
+    b_st = [x if transb == "N" else x.T for x in b[:1 if broadcast == "b" else batch]]
+    d_a, d_b, d_c = upload_stack(device, a_st), upload_stack(device, b_st), upload_stack(device, list(c))
+    args = (transa, transb, m, n, k, alpha,
+            d_a, a_st[0].shape[0], 0 if broadcast == "a" else m * k,
+            d_b, b_st[0].shape[0], 0 if broadcast == "b" else k * n,
+            beta, d_c, m, m * n, batch)
+    if dtype == np.float64:
+        ompx.ompxblas_dgemm_strided_batched(handle, *args)
+    elif dtype == np.complex128:
+        ompx.ompxblas_zgemm_strided_batched(handle, *args)
+    else:
+        handle.backend.gemm_strided_batched(*args, dtype)
+    flat = np.zeros(batch * m * n, dtype=dtype)
+    alloc.memcpy_d2h(flat, d_c)
+    for p in (d_a, d_b, d_c):
+        alloc.free(p)
+    return flat.reshape(batch, n, m).transpose(0, 2, 1)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestGemmBitExact:
+    """The batched GEMMs equal a scalar triple loop byte for byte.
+
+    ``alpha``/``beta`` stay real-valued for complex dtypes: a complex
+    scale factor would make the oracle depend on whether NumPy's complex
+    multiply contracts with FMA on the host's SIMD path.
+    """
+
+    DTYPES = [np.float64, np.float32, np.complex128, np.complex64]
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["d", "s", "z", "c"])
+    @pytest.mark.parametrize("transa,transb", [("N", "N"), ("T", "N"), ("N", "T"), ("T", "T")])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (-1.5, 0.5)], ids=["beta0", "beta"])
+    def test_strided_batched(self, nvidia, dtype, transa, transb, alpha, beta):
+        rng = np.random.default_rng(41)
+        batch, m, n, k = 5, 3, 4, 6
+        a = _random_stack(rng, dtype, (batch, m, k))
+        b = _random_stack(rng, dtype, (batch, k, n))
+        c = _random_stack(rng, dtype, (batch, m, n))
+        a[0, 0] = -0.0  # all-(-0) products must still sum to +0
+        got = _strided_gemm(nvidia, dtype, transa, transb, a, b, c, alpha, beta)
+        _assert_same_bytes(got, scalar_gemm(a, b, c, alpha, beta))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.complex64],
+                             ids=["d", "z", "c"])
+    @pytest.mark.parametrize("batch", [1, 4, 30], ids=["one", "one-slice", "partial"])
+    @pytest.mark.parametrize("broadcast", ["", "a", "b"], ids=["strided", "bcast-a", "bcast-b"])
+    def test_slices(self, nvidia, monkeypatch, dtype, batch, broadcast):
+        """With 24-element slices a 3x2 output of 4 entries is exactly one
+        slice, and 30 entries take spans of 12, 12 and a partial 6."""
+        monkeypatch.setattr(vendor_mod, "_GEMM_SLICE", 24)
+        rng = np.random.default_rng(batch)
+        m, n, k = 3, 2, 5
+        a = _random_stack(rng, dtype, (batch, m, k))
+        b = _random_stack(rng, dtype, (batch, k, n))
+        if broadcast == "a":
+            a[:] = a[0]
+        elif broadcast == "b":
+            b[:] = b[0]
+        c = _random_stack(rng, dtype, (batch, m, n))
+        got = _strided_gemm(nvidia, dtype, "N", "T", a, b, c, 1.0, 0.5, broadcast)
+        _assert_same_bytes(got, scalar_gemm(a, b, c, 1.0, 0.5))
+
+    def test_many_slices_at_the_default_size(self, nvidia):
+        """A 600-model 16x16 GEMM runs in many slices of the real size."""
+        rng = np.random.default_rng(5)
+        a = _random_stack(rng, np.float64, (600, 16, 3))
+        b = _random_stack(rng, np.float64, (600, 3, 16))
+        c = np.zeros((600, 16, 16))
+        got = _strided_gemm(nvidia, np.float64, "N", "N", a, b, c, 1.0, 0.0)
+        want = np.zeros_like(c)  # the same ascending-k sum, lane by lane
+        for kk in range(3):
+            want += a[:, :, kk, None] * b[:, None, kk, :]
+        _assert_same_bytes(got, want)
+
+    def test_pointer_array_batched(self, nvidia):
+        rng = np.random.default_rng(9)
+        batch, m, n, k = 3, 4, 3, 5
+        a = _random_stack(rng, np.float64, (batch, m, k))
+        b = _random_stack(rng, np.float64, (batch, k, n))
+        c = _random_stack(rng, np.float64, (batch, m, n))
+        handle = ompx.ompxblas_create(nvidia)
+        alloc = nvidia.allocator
+        d_a = [upload_colmajor(nvidia, x.T) for x in a]   # transa = "T"
+        d_b = [upload_colmajor(nvidia, x) for x in b]
+        d_c = [upload_colmajor(nvidia, x) for x in c]
+        ompx.ompxblas_dgemm_batched(handle, "T", "N", m, n, k, -1.5, d_a, k,
+                                    d_b, k, 0.5, d_c, m, batch)
+        got = np.stack([download_colmajor(nvidia, p, m, n) for p in d_c])
+        _assert_same_bytes(got, scalar_gemm(a, b, c, -1.5, 0.5))
+        for p in d_a + d_b + d_c:
+            alloc.free(p)
