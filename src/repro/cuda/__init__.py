@@ -6,8 +6,10 @@ syntax), ``cudaMalloc``/``cudaMemcpy``/``cudaDeviceSynchronize``, streams
 and events.  Kernels see CUDA spellings through :class:`CudaThread`.
 The host calls are methods of the vendor runtime in
 :mod:`repro.cuda.runtime`, bound to the CUDA instance (current device
-ordinal 0, the A100 preset); :mod:`repro.hip` binds the same methods to
-a second instance.
+ordinal 0, the A100 preset): the host runtime every front end shares
+(:mod:`repro.gpu.host`) plus the CUDA/HIP-only calls.  :mod:`repro.hip`
+binds the same methods to a second instance, and :mod:`repro.ompx` the
+shared ones to a third.
 """
 
 from .builtins import FULL_MASK, CudaThread

@@ -123,6 +123,23 @@ def _in_range(idx: np.ndarray, n: int):
     return (idx >= 0) & (idx < n)
 
 
+def _int_lanes(idx: np.ndarray, live=True) -> np.ndarray:
+    """A float index vector as ``int()`` converts each lane: truncated
+    toward zero, so -0.5 reads element 0 and -1.5 is out of range.
+
+    A NaN or infinite lane raises as ``int()`` does, but only where
+    ``live``: the lanes the scalar engine converts (all of a load's, a
+    store's masked-in ones).  Any other lane an int64 cannot hold becomes
+    -1, which stays out of range.
+    """
+    t = np.trunc(idx)
+    finite = np.isfinite(t)
+    bad = ~finite & live
+    if np.any(bad):
+        int(np.broadcast_to(t, np.shape(bad))[bad][0])  # raises as int() does
+    return np.where(finite & (np.abs(t) < 2.0 ** 63), t, -1).astype(np.int64)
+
+
 def _all(flags: np.ndarray) -> bool:
     # count_nonzero skips the ufunc-reduction set-up that all() pays per call.
     return np.count_nonzero(flags) == flags.size
@@ -490,11 +507,15 @@ class VectorThreadCtx:
 
         An integer index vector whose every lane is in range gathers
         directly; anything else merges the gather with ``fill`` per lane.
+        A float index converts per lane as the scalar engines' ``int()``
+        does (truncated toward zero).
         """
+        idx = np.asarray(index)
+        if idx.dtype.kind == "f":
+            idx = _int_lanes(idx)
         checker = _get_memcheck()
         if checker is not None:
-            checker.check_load(view, index)
-        idx = np.asarray(index)
+            checker.check_load(view, idx)
         n = view.shape[0]
         ok = _in_range(idx, n)
         if idx.ndim == 0:
@@ -513,16 +534,19 @@ class VectorThreadCtx:
         """Bounds-guarded masked scatter: ``view[index] = value`` where allowed.
 
         An integer index vector whose every lane is in range and masked in
-        scatters directly; anything else drops the lanes that are not.
+        scatters directly; anything else drops the lanes that are not.  A
+        float index converts as in :meth:`load`, in masked-in lanes only.
         Either way a repeated index keeps the last lane's value.  Under
         :func:`repro.faults.memcheck`, a masked-in lane whose index is out
         of range raises :class:`MemcheckError` instead of being silently
         dropped.
         """
+        idx = np.asarray(index)
+        if idx.dtype.kind == "f":
+            idx = _int_lanes(idx, mask)
         checker = _get_memcheck()
         if checker is not None:
-            checker.check_store(view, index, mask)
-        idx = np.asarray(index)
+            checker.check_store(view, idx, mask)
         ok = _in_range(idx, view.shape[0])
         if (idx.ndim and idx.dtype.kind in "iu" and _all_lanes(mask, idx.shape)
                 and _all(ok)):

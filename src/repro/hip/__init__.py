@@ -3,13 +3,14 @@
 HIP deliberately mirrors CUDA's API one-for-one (that is its pitch), so
 this layer binds the CUDA layer under HIP names: every ``hip*`` host
 call with a ``cuda*`` twin, :func:`launch` and :func:`current_hip_device`
-are methods of the vendor runtime in :mod:`repro.cuda.runtime`, bound to
-a HIP instance.  That instance spells its trace labels and peer-copy
-errors ``hip*`` and keeps its own per-thread current device, which
-defaults to the MI250 preset (ordinal 1, 64-wide wavefronts).  Kernels
-use the same :class:`~repro.cuda.CudaThread` façade — ``threadIdx`` etc.
-are spelled identically in HIP source.  The ``__constant__`` symbol and
-occupancy calls are CUDA-only.
+are methods of the vendor runtime in :mod:`repro.cuda.runtime` (itself
+the host runtime every front end shares, :mod:`repro.gpu.host`, plus the
+CUDA/HIP-only calls), bound to a HIP instance.  That instance spells its
+trace spans and errors ``hip*`` and keeps its own per-thread current
+device, which defaults to the MI250 preset (ordinal 1, 64-wide
+wavefronts).  Kernels use the same :class:`~repro.cuda.CudaThread`
+façade — ``threadIdx`` etc. are spelled identically in HIP source.  This
+layer binds no ``__constant__`` symbol or occupancy call.
 
 ``hipLaunchKernelGGL`` is provided alongside the chevron-equivalent
 :func:`launch` because HeCBench's HIP ports use both styles.
@@ -74,7 +75,7 @@ hipGetDevice = _hip.get_device
 launch = _hip.launch
 hipMalloc = _hip.malloc
 hipFree = _hip.free
-hipMemcpy = _hip.memcpy
+hipMemcpy = _hip.memcpy_kind
 hipMemcpyAsync = _hip.memcpy_async
 hipMemcpyPeer = _hip.memcpy_peer
 hipMemcpyPeerAsync = _hip.memcpy_peer_async

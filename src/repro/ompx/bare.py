@@ -24,7 +24,6 @@ Semantics per the paper:
 from __future__ import annotations
 
 import functools
-import inspect
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +33,9 @@ from ..gpu.device import Device, Placement, resolve_placement
 from ..gpu.dim import DimLike, as_dim3
 from ..gpu.launch import LaunchConfig, launch_kernel
 from ..openmp.codegen import RegionTraits, lower_region
-from ..openmp.target import TargetAccessor, TargetRegionReport, _maybe_defer, _with_maps
+from ..openmp.target import (
+    TargetAccessor, TargetRegionReport, _maybe_defer, _wants_acc, _with_maps,
+)
 from ..openmp.task import TaskRuntime
 from .device import OmpxThread
 
@@ -127,11 +128,11 @@ def target_teams_bare(
     """
     device = resolve_placement(device)
     if isinstance(region, BareKernel):
-        entry = region.entry
-        name = region.fn.__name__
+        fn, entry = region.fn, region.entry
+        name = fn.__name__
     elif callable(region):
-        bare = BareKernel(region)
-        entry, name = bare.entry, getattr(region, "__name__", "bare_region")
+        fn, entry = region, BareKernel(region).entry
+        name = getattr(region, "__name__", "bare_region")
     else:
         raise LaunchError(f"region must be callable, got {region!r}")
 
@@ -150,7 +151,7 @@ def target_teams_bare(
     def run():
         def body_fn(acc: TargetAccessor) -> TargetRegionReport:
             config = LaunchConfig.create(grid, block, shared_bytes, engine=engine)
-            call_args = tuple(args) + ((acc,) if _region_wants_acc(region, args) else ())
+            call_args = tuple(args) + ((acc,) if _wants_acc(fn, len(args)) else ())
             stats = launch_kernel(config, entry, call_args, device)
             return TargetRegionReport(
                 codegen=codegen, grid=grid.volume, block=block.volume, stats=stats
@@ -159,18 +160,3 @@ def target_teams_bare(
         return _with_maps(device, maps, body_fn)
 
     return _maybe_defer(nowait, depend, task_runtime, run, name)
-
-
-def _region_wants_acc(region: Callable, args: Sequence) -> bool:
-    fn = region.fn if isinstance(region, BareKernel) else region
-    params = _param_names(fn)
-    return bool(params) and params[-1] == "acc" and len(params) == len(args) + 2
-
-
-@functools.lru_cache(maxsize=256)
-def _param_names(fn: Callable) -> Tuple[str, ...]:
-    """A region function's parameter names, read once per function."""
-    try:
-        return tuple(inspect.signature(fn).parameters)
-    except (TypeError, ValueError):
-        return ()

@@ -3,30 +3,35 @@
 The paper adapts the user-facing APIs of Doerfert et al. (PACT'22,
 "Breaking the Vendor Lock") so CUDA host calls port by renaming:
 ``cudaMalloc -> ompx_malloc``, ``cudaMemcpy -> ompx_memcpy``,
-``cudaDeviceSynchronize -> ompx_device_synchronize``.
+``cudaDeviceSynchronize -> ompx_device_synchronize``.  Here the renaming
+is literal: the ``ompx_*`` calls are methods of the host runtime CUDA
+and HIP share (:class:`repro.gpu.host.HostRuntime`), bound to an
+``"ompx_"`` instance whose current device is the library-wide one
+(:func:`repro.gpu.current_device`) and whose misused pointers raise
+:class:`~repro.errors.MappingError`.  Thirteen calls are the very method
+their ``cuda*`` twin is bound to.  ``ompx_memcpy`` is the shared copy
+itself, which ``cudaMemcpy`` makes after checking its memcpy kind, and
+``ompx_stream_create`` is a one-line adapter (its device comes first).
 
 One deliberate improvement over CUDA (and faithful to a target-agnostic
 runtime layer): the copy direction is *inferred* from the operand types —
-a :class:`DevicePointer` is device memory, a NumPy array is host memory —
-so there is no ``cudaMemcpyKind`` to get wrong.
+a :class:`~repro.gpu.memory.DevicePointer` is device memory, a NumPy
+array is host memory — so there is no ``cudaMemcpyKind`` to get wrong.
 
-``ompx_malloc``/``ompx_memcpy``/``ompx_memset`` take an optional
-``stream=`` keyword (mirroring ``cudaMemcpyAsync``): with a stream the
-operation is *enqueued* and returns immediately; without one it keeps the
-synchronous default-stream semantics.
+A call that acts on one device takes ``device=`` (an ordinal, a Device,
+or ``None`` for the current device).  ``ompx_malloc``/``ompx_memcpy``/
+``ompx_memset``/``ompx_memcpy_peer`` also take ``stream=`` (mirroring
+``cudaMemcpyAsync``): with a stream the operation is *enqueued* and
+returns immediately; without one it keeps the synchronous default-stream
+semantics.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ..errors import MappingError
-from ..gpu.device import Device, Placement, resolve_placement
-from ..gpu.memory import DevicePointer, memcpy_peer, peer_copy
+from ..gpu.device import Placement
+from ..gpu.host import HostRuntime
 from ..gpu.stream import Stream
-from ..trace import get_tracer
 
 __all__ = [
     "ompx_malloc",
@@ -46,287 +51,24 @@ __all__ = [
     "ompx_occupancy_max_active_blocks",
 ]
 
+_ompx = HostRuntime("ompx_", MappingError)
 
-def _resolve_device(device: Placement) -> Device:
-    """The one place default-device resolution happens for every host API.
-
-    Since the placement redesign this is just
-    :func:`repro.gpu.device.resolve_placement`: every ``device=`` below
-    takes an ``int`` ordinal, a :class:`Device`, or ``None`` for the
-    thread-current device.
-    """
-    return resolve_placement(device)
-
-
-def _memcpy_direction(dst, src) -> str:
-    """Inferred copy direction, also the trace span's ``direction`` arg."""
-    if isinstance(dst, DevicePointer) and isinstance(src, DevicePointer):
-        return "d2d" if dst.device_ordinal == src.device_ordinal else "p2p"
-    if isinstance(dst, DevicePointer):
-        return "h2d"
-    if isinstance(src, DevicePointer):
-        return "d2h"
-    return "h2h"
-
-
-def ompx_malloc(
-    size: int,
-    device: Placement = None,
-    *,
-    stream: Optional[Stream] = None,
-) -> DevicePointer:
-    """Allocate device global memory (``cudaMalloc`` equivalent).
-
-    Allocation itself is immediate (the pointer must be returned), but
-    passing ``stream=`` orders the allocation's visibility after the work
-    already queued on that stream, like ``cudaMallocAsync``.
-    """
-    tracer = get_tracer()
-    if tracer is None:
-        ptr = _resolve_device(device).allocator.malloc(size)
-    else:
-        with tracer.span("ompx_malloc", cat="host-api", bytes=int(size)):
-            ptr = _resolve_device(device).allocator.malloc(size)
-    if stream is not None:
-        # fence: later stream work sees the allocation
-        stream.enqueue(lambda: None, label="ompx_malloc-fence")
-    return ptr
-
-
-def ompx_free(ptr: DevicePointer, device: Placement = None) -> None:
-    """``ompx_free``: release device memory (``cudaFree`` equivalent)."""
-    _resolve_device(device).allocator.free(ptr)
-
-
-def ompx_memcpy(
-    dst,
-    src,
-    size: int,
-    device: Placement = None,
-    *,
-    stream: Optional[Stream] = None,
-) -> None:
-    """Copy ``size`` bytes; direction inferred from operand types.
-
-    With ``stream=`` the copy is enqueued on that stream and this call
-    returns immediately (``cudaMemcpyAsync``); synchronize the stream
-    before relying on the data.  Without a stream the copy is synchronous
-    with respect to the device's default stream.
-    """
-    dev = _resolve_device(device)
-    alloc = dev.allocator
-
-    def do_copy() -> None:
-        if isinstance(dst, DevicePointer) and isinstance(src, DevicePointer):
-            # cudaMemcpyDefault semantics: direction (and the owning
-            # context) come from the pointers, not from the caller's
-            # current device.  Same-device pairs are an ordinary d2d on
-            # the owning allocator; cross-device pairs route through the
-            # peer path instead of raising InvalidPointerError.
-            if dst.device_ordinal == src.device_ordinal:
-                _resolve_device(dst.device_ordinal).allocator.memcpy_d2d(
-                    dst, src, size
-                )
-            else:
-                memcpy_peer(dst, src, size)
-        elif isinstance(dst, DevicePointer):
-            host = np.ascontiguousarray(src).view(np.uint8).reshape(-1)[:size]
-            alloc.memcpy_h2d(dst, host)
-        elif isinstance(src, DevicePointer):
-            host = dst.view(np.uint8).reshape(-1)[:size]
-            alloc.memcpy_d2h(host, src)
-        else:
-            raise MappingError(
-                "ompx_memcpy needs at least one device pointer; for host-to-host "
-                "just assign the arrays"
-            )
-
-    direction = _memcpy_direction(dst, src)
-    if stream is not None:
-        stream.enqueue(
-            do_copy,
-            label="ompx_memcpy",
-            trace_cat="memcpy",
-            trace_args={"bytes": int(size), "direction": direction},
-        )
-        return
-    tracer = get_tracer()
-    if tracer is None:
-        dev.default_stream.synchronize()
-        do_copy()
-        return
-    with tracer.span("ompx_memcpy", cat="memcpy",
-                     bytes=int(size), direction=direction):
-        dev.default_stream.synchronize()
-        do_copy()
-
-
-def ompx_memset(
-    ptr: DevicePointer,
-    value: int,
-    size: int,
-    device: Placement = None,
-    *,
-    stream: Optional[Stream] = None,
-) -> None:
-    """``ompx_memset``: fill device memory with a byte value.
-
-    ``stream=`` enqueues the fill asynchronously (``cudaMemsetAsync``).
-    """
-    dev = _resolve_device(device)
-    if stream is not None:
-        stream.enqueue(
-            lambda: dev.allocator.memset(ptr, value, size),
-            label="ompx_memset",
-            trace_cat="host-api",
-            trace_args={"bytes": int(size)},
-        )
-        return
-    tracer = get_tracer()
-    if tracer is None:
-        dev.default_stream.synchronize()
-        dev.allocator.memset(ptr, value, size)
-        return
-    with tracer.span("ompx_memset", cat="host-api", bytes=int(size)):
-        dev.default_stream.synchronize()
-        dev.allocator.memset(ptr, value, size)
-
-
-def ompx_memcpy_to_symbol(symbol: str, src, device: Placement = None) -> None:
-    """Upload a constant-memory symbol (``cudaMemcpyToSymbol`` equivalent)."""
-    dev = _resolve_device(device)
-    dev.default_stream.synchronize()
-    dev.write_constant(symbol, src)
-
-
-def ompx_memcpy_from_symbol(dst: np.ndarray, symbol: str, device: Placement = None) -> None:
-    """Read a constant-memory symbol back to the host."""
-    dev = _resolve_device(device)
-    dev.default_stream.synchronize()
-    np.copyto(dst, dev.read_constant(symbol).reshape(dst.shape))
-
-
-def ompx_device_synchronize(device: Placement = None) -> None:
-    """``cudaDeviceSynchronize`` equivalent."""
-    dev = _resolve_device(device)
-    tracer = get_tracer()
-    if tracer is None:
-        dev.synchronize()
-        return
-    with tracer.span("ompx_device_synchronize", cat="sync",
-                     device=dev.spec.name):
-        dev.synchronize()
-
-
-def ompx_device_reset(device: Placement = None) -> None:
-    """``cudaDeviceReset`` equivalent: tear down and re-arm the context.
-
-    Destroys every stream, frees every allocation and constant symbol,
-    and clears the sticky error a kernel fault left behind — the only
-    way to recover a poisoned device context (see
-    :class:`~repro.errors.StickyContextError`).  All outstanding
-    :class:`DevicePointer` handles for the device become invalid.
-    """
-    dev = _resolve_device(device)
-    tracer = get_tracer()
-    if tracer is None:
-        dev.reset()
-        return
-    with tracer.span("ompx_device_reset", cat="host-api", device=dev.spec.name):
-        dev.reset()
-
-
-def ompx_memcpy_peer(
-    dst: DevicePointer,
-    dst_device: Placement,
-    src: DevicePointer,
-    src_device: Placement,
-    size: int,
-    *,
-    stream: Optional[Stream] = None,
-) -> None:
-    """Copy ``size`` bytes between two devices (``cudaMemcpyPeer`` shape).
-
-    The device arguments are validated against the pointers' owners —
-    passing the wrong ordinal is the classic peer-copy porting bug, and
-    the simulator's job is to catch it loudly.  ``stream=`` enqueues the
-    copy (``cudaMemcpyPeerAsync``); the modeled cost depends on whether
-    peer access is enabled between the two contexts (see
-    :func:`repro.perf.transfer.peer_transfer_seconds`).
-    """
-    dst_dev = _resolve_device(dst_device)
-    src_dev = _resolve_device(src_device)
-    if dst_dev.ordinal != dst.device_ordinal:
-        raise MappingError(
-            f"ompx_memcpy_peer: dst pointer belongs to device "
-            f"{dst.device_ordinal}, not device {dst_dev.ordinal}"
-        )
-    if src_dev.ordinal != src.device_ordinal:
-        raise MappingError(
-            f"ompx_memcpy_peer: src pointer belongs to device "
-            f"{src.device_ordinal}, not device {src_dev.ordinal}"
-        )
-    if stream is not None:
-        stream.enqueue(
-            lambda: peer_copy(dst, src, size, api="ompx_memcpy_peer"),
-            label="ompx_memcpy_peer",
-            trace_cat="memcpy",
-            trace_args={"bytes": int(size), "direction": "p2p",
-                        "src_device": src_dev.ordinal,
-                        "dst_device": dst_dev.ordinal},
-        )
-        return
-    peer_copy(dst, src, size, api="ompx_memcpy_peer")
-
-
-def ompx_device_enable_peer_access(peer: Placement, device: Placement = None) -> None:
-    """Enable direct access to ``peer`` from ``device``.
-
-    ``cudaDeviceEnablePeerAccess`` equivalent (directional: enable both
-    ways for symmetric traffic).  Enablement changes the *modeled* cost
-    of peer copies from staged-through-host to the direct link.
-    """
-    _resolve_device(device).enable_peer_access(_resolve_device(peer))
-
-
-def ompx_device_disable_peer_access(peer: Placement, device: Placement = None) -> None:
-    """Revoke direct access to ``peer`` from ``device``."""
-    _resolve_device(device).disable_peer_access(_resolve_device(peer))
-
-
-def ompx_device_can_access_peer(device: Placement, peer: Placement) -> bool:
-    """Whether a direct interconnect exists (``cudaDeviceCanAccessPeer``)."""
-    return _resolve_device(device).can_access_peer(_resolve_device(peer))
+ompx_malloc = _ompx.malloc
+ompx_free = _ompx.free
+ompx_memcpy = _ompx.memcpy
+ompx_memcpy_peer = _ompx.memcpy_peer
+ompx_memset = _ompx.memset
+ompx_memcpy_to_symbol = _ompx.memcpy_to_symbol
+ompx_memcpy_from_symbol = _ompx.memcpy_from_symbol
+ompx_device_synchronize = _ompx.device_synchronize
+ompx_device_reset = _ompx.device_reset
+ompx_device_enable_peer_access = _ompx.device_enable_peer_access
+ompx_device_disable_peer_access = _ompx.device_disable_peer_access
+ompx_device_can_access_peer = _ompx.device_can_access_peer
+ompx_stream_synchronize = _ompx.stream_synchronize
+ompx_occupancy_max_active_blocks = _ompx.occupancy_max_active_blocks
 
 
 def ompx_stream_create(device: Placement = None, name: str = "") -> Stream:
-    """``ompx_stream_create``: new asynchronous work queue."""
-    return Stream(_resolve_device(device), name=name)
-
-
-def ompx_stream_synchronize(stream: Stream) -> None:
-    """``ompx_stream_synchronize``: wait for a stream to drain."""
-    stream.synchronize()
-
-
-def ompx_occupancy_max_active_blocks(
-    kernel,
-    block_threads: int,
-    shared_bytes: int = 0,
-    device: Placement = None,
-) -> int:
-    """Resident blocks per SM for a kernel at a block size.
-
-    The ompx rendering of ``cudaOccupancyMaxActiveBlocksPerMultiprocessor``:
-    the kernel is "compiled" by the toolchain model and its register count
-    drives the standard occupancy calculation.  The Figure 8 harness uses
-    the same machinery internally, so numbers here match the model exactly.
-    """
-    from ..compiler.compile import compile_kernel
-    from ..perf.occupancy import compute_occupancy
-
-    spec = _resolve_device(device).spec
-    compiled = compile_kernel(kernel, spec, shared_bytes=shared_bytes)
-    info = compute_occupancy(spec, block_threads, compiled.registers,
-                             compiled.effective_shared_bytes)
-    return info.blocks_per_sm
+    """``ompx_stream_create``: new asynchronous work queue on ``device``."""
+    return Stream(_ompx.resolve_device(device), name=name)

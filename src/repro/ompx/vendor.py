@@ -222,7 +222,7 @@ def _rank1_updates(left, right, acc) -> None:
     come from one NumPy call; each is then added on its own, in order.
     """
     k = left.shape[1]
-    step = min(k, max(1, _GEMM_SLICE // (acc.size // len(acc))))
+    step = max(1, min(k, _GEMM_SLICE // (acc.size // len(acc))))
     prod = np.empty((len(acc), step) + acc.shape[1:], acc.dtype)
     if len(acc) == 1:
         (a,), (p,) = acc, prod
@@ -364,35 +364,31 @@ class BlasBackend:
     def gemm(self, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, dtype) -> None:
         """C = alpha*op(A)@op(B) + beta*C, column-major with leading dims."""
         self._count("gemm")
-        am = self._matrix(a, m if transa == OMPXBLAS_OP_N else k,
-                          k if transa == OMPXBLAS_OP_N else m, lda, dtype,
-                          op="gemm", param="lda")
-        bm = self._matrix(b, k if transb == OMPXBLAS_OP_N else n,
-                          n if transb == OMPXBLAS_OP_N else k, ldb, dtype,
-                          op="gemm", param="ldb")
-        cm = self._matrix(c, m, n, ldc, dtype, op="gemm", param="ldc")
-        left = am if transa == OMPXBLAS_OP_N else am.T
-        right = bm if transb == OMPXBLAS_OP_N else bm.T
-        # In-place update of the device view (no copies of C).
-        cm *= beta
-        cm += alpha * (left @ right)
+        self._gemm("gemm", transa, transb, m, n, k, alpha, a, lda, b, ldb,
+                   beta, c, ldc, dtype)
 
     def gemm_batched(self, transa, transb, m, n, k, alpha, a_array, lda,
                      b_array, ldb, beta, c_array, ldc, batch, dtype) -> None:
         """Pointer-array batched GEMM (``cublasDgemmBatched`` shape)."""
         self._count("gemm_batched")
         for a, b, c in zip(a_array, b_array, c_array):
-            am = self._matrix(a, m if transa == OMPXBLAS_OP_N else k,
-                              k if transa == OMPXBLAS_OP_N else m, lda, dtype,
-                              op="gemm_batched", param="lda")
-            bm = self._matrix(b, k if transb == OMPXBLAS_OP_N else n,
-                              n if transb == OMPXBLAS_OP_N else k, ldb, dtype,
-                              op="gemm_batched", param="ldb")
-            cm = self._matrix(c, m, n, ldc, dtype,
-                              op="gemm_batched", param="ldc")
-            left = (am if transa == OMPXBLAS_OP_N else am.T)[None]
-            right = (bm if transb == OMPXBLAS_OP_N else bm.T)[None]
-            self._batched_update(left, right, cm[None], alpha, beta)
+            self._gemm("gemm_batched", transa, transb, m, n, k, alpha, a, lda,
+                       b, ldb, beta, c, ldc, dtype)
+
+    def _gemm(self, op, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta,
+              c, ldc, dtype) -> None:
+        """One GEMM as a batch of one through :meth:`_batched_update`, in
+        place on the device view of C; ``op`` names the call in errors."""
+        am = self._matrix(a, m if transa == OMPXBLAS_OP_N else k,
+                          k if transa == OMPXBLAS_OP_N else m, lda, dtype,
+                          op=op, param="lda")
+        bm = self._matrix(b, k if transb == OMPXBLAS_OP_N else n,
+                          n if transb == OMPXBLAS_OP_N else k, ldb, dtype,
+                          op=op, param="ldb")
+        cm = self._matrix(c, m, n, ldc, dtype, op=op, param="ldc")
+        left = am if transa == OMPXBLAS_OP_N else am.T
+        right = bm if transb == OMPXBLAS_OP_N else bm.T
+        self._batched_update(left[None], right[None], cm[None], alpha, beta)
 
     def gemm_strided_batched(self, transa, transb, m, n, k, alpha, a, lda,
                              stride_a, b, ldb, stride_b, beta, c, ldc,
@@ -418,7 +414,11 @@ class BlasBackend:
 
     # --- level 2 -------------------------------------------------------------
     def gemv(self, trans, m, n, alpha, a, lda, x, incx, beta, y, incy, dtype) -> None:
-        """y = alpha*op(A)@x + beta*y for an m×n column-major A."""
+        """y = alpha*op(A)@x + beta*y for an m×n column-major A.
+
+        The GEMM of op(A) and ``x`` as a one-column matrix, so it shares
+        its exactness and never reads y when ``beta == 0``.
+        """
         self._count("gemv")
         am = self._matrix(a, m, n, lda, dtype, op="gemv", param="lda")
         xv = self._vector(x, n if trans == OMPXBLAS_OP_N else m, incx, dtype,
@@ -426,8 +426,8 @@ class BlasBackend:
         yv = self._vector(y, m if trans == OMPXBLAS_OP_N else n, incy, dtype,
                           op="gemv", param="incy")
         mat = am if trans == OMPXBLAS_OP_N else am.T
-        yv *= beta
-        yv += alpha * (mat @ xv)
+        self._batched_update(mat[None], xv[None, :, None], yv[None, :, None],
+                             alpha, beta)
 
     # --- level 1 -------------------------------------------------------------
     def axpy(self, n, alpha, x, incx, y, incy, dtype) -> None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..errors import MappingError
 from ..gpu.device import Device
+from ..gpu.host import copy_bytes, direction
 from ..gpu.memory import DevicePointer
 
 __all__ = [
@@ -261,31 +262,38 @@ def omp_target_memcpy(
 ) -> None:
     """``omp_target_memcpy``: any combination of host arrays / device pointers.
 
-    A ``None`` device marks that side as the host (the initial device).
+    A ``None`` device marks that side as the host (the initial device);
+    a device pointer's side must name the device that owns it.  Offsets
+    and ``length`` are in bytes.  The bytes move through the copy routine
+    every host API shares (:func:`repro.gpu.host.copy_bytes`), so a pair
+    on two devices takes the peer path.
     """
-    if isinstance(dst, DevicePointer) and dst_device is None:
-        raise MappingError("device destination requires dst_device")
-    if isinstance(src, DevicePointer) and src_device is None:
-        raise MappingError("device source requires src_device")
+    for side, what, ptr, device in (("dst", "destination", dst, dst_device),
+                                    ("src", "source", src, src_device)):
+        if not isinstance(ptr, DevicePointer):
+            continue
+        if device is None:
+            raise MappingError(f"device {what} requires {side}_device")
+        if device.ordinal != ptr.device_ordinal:
+            raise MappingError(
+                f"omp_target_memcpy: {side} pointer belongs to device "
+                f"{ptr.device_ordinal}, not device {device.ordinal}"
+            )
 
-    if isinstance(src, DevicePointer) and isinstance(dst, DevicePointer):
-        if src_device is not dst_device:
-            # Cross-device: stage through the host.
-            staging = np.empty(length, dtype=np.uint8)
-            src_device.allocator.memcpy_d2h(staging, src + src_offset)
-            dst_device.allocator.memcpy_h2d(dst + dst_offset, staging)
-        else:
-            dst_device.allocator.memcpy_d2d(dst + dst_offset, src + src_offset, length)
-    elif isinstance(src, DevicePointer):
-        host = dst.view(np.uint8).reshape(-1)[dst_offset : dst_offset + length]
-        src_device.allocator.memcpy_d2h(host, src + src_offset)
-    elif isinstance(dst, DevicePointer):
-        host = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
-        dst_device.allocator.memcpy_h2d(dst + dst_offset, host[src_offset : src_offset + length])
+    if isinstance(dst, DevicePointer):
+        dst_at = dst + dst_offset
     else:
-        dview = dst.view(np.uint8).reshape(-1)
-        sview = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
-        dview[dst_offset : dst_offset + length] = sview[src_offset : src_offset + length]
+        dst_at = dst.view(np.uint8).reshape(-1)[dst_offset : dst_offset + length]
+    if isinstance(src, DevicePointer):
+        src_at = src + src_offset
+    else:
+        host = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
+        src_at = host[src_offset : src_offset + length]
+    if direction(dst_at, src_at) == "h2h":
+        dst_at[:] = src_at
+    else:
+        device = dst_device if isinstance(dst, DevicePointer) else src_device
+        copy_bytes(dst_at, src_at, length, device)
 
 
 def omp_target_is_present(array: np.ndarray, device: Device) -> bool:

@@ -22,6 +22,8 @@ machine while ``ompx_bare`` has none).
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -318,7 +320,7 @@ def target_teams_parallel(
     def run():
         def body_fn(acc: TargetAccessor) -> TargetRegionReport:
             config = LaunchConfig.create(grid, block, shared_bytes)
-            stats = launch_kernel(config, adapter, (*args, acc) if _wants_acc(region, args) else tuple(args), device)
+            stats = launch_kernel(config, adapter, (*args, acc) if _wants_acc(region, len(args)) else tuple(args), device)
             return TargetRegionReport(codegen=codegen, grid=grid.volume, block=block.volume, stats=stats)
 
         return _with_maps(device, maps, body_fn)
@@ -326,17 +328,18 @@ def target_teams_parallel(
     return _maybe_defer(nowait, depend, task_runtime, run, region.__name__)
 
 
-def _wants_acc(region: Callable, args: Sequence) -> bool:
+@functools.lru_cache(maxsize=256)
+def _wants_acc(region: Callable, nargs: int) -> bool:
     """Pass the accessor as a trailing arg iff the region asks for one.
 
     Regions that only use explicit device pointers (API-style data
     management) don't need it; regions using map clauses take a final
-    ``acc`` parameter.
+    ``acc`` parameter after the thread handle and their ``nargs``
+    arguments.  The signature is read once per region function and
+    argument count (``target_teams_bare`` asks the same question).
     """
     try:
-        import inspect
-
         params = list(inspect.signature(region).parameters)
     except (TypeError, ValueError):
         return False
-    return bool(params) and params[-1] == "acc" and len(params) == len(args) + 2
+    return bool(params) and params[-1] == "acc" and len(params) == nargs + 2

@@ -4,9 +4,10 @@ The paper's evaluation is a *measurement* exercise: Figures 6–8 exist
 because CUPTI (``nvprof``/``nsys``) and rocprof could observe what the
 native runtimes did.  This package is the same observability layer for
 the simulated stack: with tracing enabled, every kernel launch, stream
-operation, ompx host API call and perf-model estimate records a span,
-and the result exports as a Chrome/Perfetto trace, an ``nvprof``-style
-text summary, or plain records the harness report can embed.
+operation, host API call (CUDA, HIP and ompx alike) and perf-model
+estimate records a span, and the result exports as a Chrome/Perfetto
+trace, an ``nvprof``-style text summary, or plain records the harness
+report can embed.
 
 Quickstart
 ----------
@@ -34,8 +35,11 @@ What gets recorded
 * ``queued:<op>`` / ``exec:<op>`` span pairs on each stream's track —
   the wait in the queue versus the execution, which is what makes
   cross-stream overlap (and ``depend(interopobj:)`` enqueues) visible.
-* ``ompx_malloc`` / ``ompx_memcpy`` / ``ompx_memset`` spans with byte
-  counts and inferred copy direction (cat ``memcpy``/``host-api``).
+* host-call spans under each API's spelling (``ompx_memcpy``,
+  ``cudaMalloc``, ``hipDeviceSynchronize``...), the same for every API
+  because one runtime makes them (:mod:`repro.gpu.host`): byte counts
+  and the copy direction the operands give (cat ``memcpy``/
+  ``host-api``/``sync``).
 * perf-model predictions (:func:`~repro.perf.timing.estimate_time`),
   joined onto matching kernel spans as ``predicted_per_launch_s`` so
   predicted-vs-observed can be diffed per Figure 8 cell.

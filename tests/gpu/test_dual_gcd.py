@@ -54,7 +54,7 @@ class TestSeparateDevices:
             device.allocator.free(d)
 
     def test_peer_transfer_between_gcds(self, gcd0, gcd1):
-        """omp_target_memcpy stages GCD-to-GCD copies through the host."""
+        """omp_target_memcpy copies GCD to GCD on the peer path."""
         data = np.arange(32, dtype=np.float64)
         src = omp_target_alloc(data.nbytes, gcd0)
         dst = omp_target_alloc(data.nbytes, gcd1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.errors import MemcheckError
+from repro.errors import LaunchError, MemcheckError
 from repro.gpu import LaunchConfig, launch_kernel
 from repro.gpu.dim import Dim3, delinearize
 from repro.gpu.vector import VectorThreadCtx
@@ -261,3 +261,64 @@ def test_load_from_an_empty_view_returns_fill(nvidia, engine):
     finally:
         alloc.free(d_empty)
         alloc.free(d_out)
+
+
+@pytest.mark.parametrize("engine", ["map", "block-thread", "vector", "wave"])
+def test_float_indices_truncate_toward_zero(nvidia, engine):
+    """A 2x32 launch indexing with floats reads and writes what ``int()``
+    gives every lane: -0.25 reads element 0, -1.5 and 77.25 read ``fill``,
+    and a masked-out store lane holding NaN is never converted."""
+    n = 64
+
+    def kernel(ctx, d_src, d_out, d_dst):
+        src = ctx.deref(d_src, n, np.float64)
+        out = ctx.deref(d_out, n, np.float64)
+        dst = ctx.deref(d_dst, n, np.float64)
+        i = ctx.global_flat_id
+        ctx.store(out, i, ctx.load(src, i * 1.25 - 1.5, fill=-1.0))
+        even = i % 2 == 0
+        ctx.store(dst, np.where(even, i * 0.5, np.nan), i * 1.0, mask=even)
+
+    kernel.sync_free = engine in ("map", "vector")
+    alloc = nvidia.allocator
+    src = np.arange(n) * 10.0
+    d_src, d_out, d_dst = alloc.malloc(n * 8), alloc.malloc(n * 8), alloc.malloc(n * 8)
+    try:
+        alloc.memcpy_h2d(d_src, src)
+        alloc.memset(d_dst, 0, n * 8)
+        stats = launch_kernel(LaunchConfig.create(2, 32, engine=engine), kernel,
+                              (d_src, d_out, d_dst), nvidia)
+        assert stats.engine == engine
+        out, dst = np.zeros(n), np.zeros(n)
+        alloc.memcpy_d2h(out, d_out)
+        alloc.memcpy_d2h(dst, d_dst)
+        want = [src[int(f)] if 0 <= int(f) < n else -1.0
+                for f in np.arange(n) * 1.25 - 1.5]
+        assert np.array_equal(out, want)
+        assert np.array_equal(dst, np.append(np.arange(0.0, n, 2), np.zeros(n // 2)))
+    finally:
+        for ptr in (d_src, d_out, d_dst):
+            alloc.free(ptr)
+
+
+@pytest.mark.parametrize("engine", ["map", "block-thread", "vector", "wave"])
+@pytest.mark.parametrize("bad,error", [(np.nan, ValueError), (np.inf, OverflowError)],
+                         ids=["nan", "inf"])
+def test_a_non_finite_float_index_fails_like_int(nvidia, engine, bad, error):
+    """Lane 5 loading at NaN or infinity fails the launch with the error
+    ``int()`` raises, on every engine."""
+
+    def kernel(ctx, d_src):
+        src = ctx.deref(d_src, 4, np.float64)
+        i = ctx.global_flat_id
+        ctx.load(src, np.where(i == 5, bad, 0.0))
+
+    kernel.sync_free = engine in ("map", "vector")
+    d_src = nvidia.allocator.malloc(32)
+    try:
+        with pytest.raises(LaunchError) as failure:
+            launch_kernel(LaunchConfig.create(2, 32, engine=engine), kernel,
+                          (d_src,), nvidia)
+        assert isinstance(failure.value.__cause__, error)
+    finally:
+        nvidia.allocator.free(d_src)

@@ -115,7 +115,7 @@ class TestBareSemantics:
         the argument count is still compared on every launch."""
         import inspect
 
-        import repro.ompx.bare as bare_mod
+        from repro.openmp.target import _wants_acc
 
         reads = []
         real_signature = inspect.signature
@@ -131,7 +131,7 @@ class TestBareSemantics:
                                    maps=[(out, "tofrom")])
         assert np.array_equal(out, np.full(8, 6.0))
         assert reads.count(region) == 1
-        assert not bare_mod._region_wants_acc(region, ())
+        assert not _wants_acc(region, 0)
 
 
 class TestMultiDim:

@@ -774,3 +774,69 @@ class TestGemmBitExact:
         _assert_same_bytes(got, scalar_gemm(a, b, c, -1.5, 0.5))
         for p in d_a + d_b + d_c:
             alloc.free(p)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["d", "s"])
+    @pytest.mark.parametrize("transa,transb", [("N", "N"), ("T", "N"), ("N", "T"), ("T", "T")])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (-1.5, 0.5)], ids=["beta0", "beta"])
+    def test_gemm(self, nvidia, dtype, transa, transb, alpha, beta):
+        """``dgemm``/``sgemm`` are a batch of one: equal to the loop, and a
+        NaN-filled C is never read under ``beta == 0``."""
+        rng = np.random.default_rng(43)
+        m, n, k = 7, 5, 33
+        a = _random_stack(rng, dtype, (1, m, k))
+        b = _random_stack(rng, dtype, (1, k, n))
+        c = _random_stack(rng, dtype, (1, m, n))
+        if beta == 0:
+            c[:] = np.nan
+        a_st = a[0] if transa == "N" else a[0].T
+        b_st = b[0] if transb == "N" else b[0].T
+        d_a, d_b, d_c = (upload_stack(nvidia, [x]) for x in (a_st, b_st, c[0]))
+        gemm = ompx.ompxblas_dgemm if dtype == np.float64 else ompx.ompxblas_sgemm
+        gemm(ompx.ompxblas_create(nvidia), transa, transb, m, n, k, alpha,
+             d_a, a_st.shape[0], d_b, b_st.shape[0], beta, d_c, m)
+        got = np.zeros(m * n, dtype=dtype)
+        nvidia.allocator.memcpy_d2h(got, d_c)
+        for p in (d_a, d_b, d_c):
+            nvidia.allocator.free(p)
+        _assert_same_bytes(got.reshape(n, m).T[None], scalar_gemm(a, b, c, alpha, beta))
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (-1.5, 0.5)], ids=["beta0", "beta"])
+    def test_dgemv(self, nvidia, trans, alpha, beta):
+        """``dgemv`` is the GEMM of op(A) and x as one column, over strided
+        x and y; a NaN-filled y is never read under ``beta == 0``."""
+        rng = np.random.default_rng(44)
+        m, n, incx, incy = 7, 33, 2, 3
+        a = rng.standard_normal((m, n))
+        op_a = a if trans == "N" else a.T
+        x = rng.standard_normal(op_a.shape[1])
+        y = np.full(op_a.shape[0], np.nan) if beta == 0 else rng.standard_normal(op_a.shape[0])
+        x_st = np.zeros((len(x) - 1) * incx + 1)
+        x_st[::incx] = x
+        y_st = np.zeros((len(y) - 1) * incy + 1)
+        y_st[::incy] = y
+        d_a, d_x, d_y = (upload_stack(nvidia, [v]) for v in (a, x_st, y_st))
+        ompx.ompxblas_dgemv(ompx.ompxblas_create(nvidia), trans, m, n, alpha,
+                            d_a, m, d_x, incx, beta, d_y, incy)
+        got = np.zeros_like(y_st)
+        nvidia.allocator.memcpy_d2h(got, d_y)
+        for p in (d_a, d_x, d_y):
+            nvidia.allocator.free(p)
+        want = scalar_gemm(op_a[None], x[None, :, None], y[None, :, None], alpha, beta)
+        _assert_same_bytes(got[::incy], want.reshape(-1))
+
+    def test_no_inner_dimension_leaves_beta_c(self, nvidia):
+        """``k == 0``: the empty sum is zero, so C becomes ``beta * C``."""
+        alloc = nvidia.allocator
+        handle = ompx.ompxblas_create(nvidia)
+        d_ab = alloc.malloc(64)  # k == 0 reads none of A or B
+        d_c = upload_stack(nvidia, [np.arange(6.0).reshape(2, 3)])
+        ompx.ompxblas_dgemm(handle, "N", "N", 2, 3, 0, 1.0, d_ab, 2, d_ab, 1,
+                            0.5, d_c, 2)
+        ompx.ompxblas_dgemm_strided_batched(handle, "N", "N", 2, 3, 0, 1.0,
+                                            d_ab, 2, 0, d_ab, 1, 0, 0.5, d_c, 2,
+                                            6, 1)
+        assert np.array_equal(download_colmajor(nvidia, d_c, 2, 3),
+                              np.arange(6.0).reshape(2, 3) * 0.25)
+        alloc.free(d_ab)
+        alloc.free(d_c)

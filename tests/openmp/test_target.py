@@ -157,6 +157,26 @@ class TestSimtStyle:
         target_teams_parallel(nvidia, 3, 8, region)
         assert sorted(seen) == [(3, 8, 0), (3, 8, 1), (3, 8, 2)]
 
+    def test_region_signature_is_read_once(self, nvidia, monkeypatch):
+        """Whether a region takes the accessor is read once per function,
+        not on every launch (the rule ``target_teams_bare`` shares)."""
+        import inspect
+
+        reads = []
+        real_signature = inspect.signature
+        monkeypatch.setattr(inspect, "signature",
+                            lambda fn: reads.append(fn) or real_signature(fn))
+        out = np.zeros(8)
+
+        def region(omp, scale, acc):
+            acc.mapped(out)[omp.omp_get_thread_num()] += scale
+
+        for scale in (1.0, 2.0, 3.0):
+            target_teams_parallel(nvidia, 1, 8, region, (scale,),
+                                  maps=[(out, "tofrom")])
+        assert np.array_equal(out, np.full(8, 6.0))
+        assert reads.count(region) == 1
+
     def test_multidim_rejected_without_extension(self, nvidia):
         """§2.3: classic OpenMP has no multi-dimensional launches."""
         with pytest.raises(OpenMPError, match="ompx"):

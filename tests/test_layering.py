@@ -14,6 +14,10 @@ Pools are built in one place, ``repro.backend.open_pool``, so the choice
 of pool stack and the binding of fault selectors cannot drift between
 ``run()``, ``KernelService`` and the degraded cluster again; the cluster
 worker builds its own local pool inside its process.
+
+The host runtime every front end shares (``repro.gpu.host``) sits below
+the vendor spellings: ``repro.gpu``, ``repro.openmp`` and ``repro.ompx``
+import neither ``repro.cuda`` nor ``repro.hip``, which build on top.
 """
 
 import ast
@@ -72,6 +76,34 @@ def test_lower_layers_do_not_import_the_serving_tier(layer):
         if any(_imports_serve(name) for name in names)
     ]
     assert not offenders, "\n".join(offenders)
+
+
+#: Packages below the vendor front ends, and the front ends they must not import.
+BELOW_VENDORS = ("gpu", "openmp", "ompx")
+VENDOR_FRONT_ENDS = ("repro.cuda", "repro.hip")
+
+
+def _imports_a_vendor(name: str) -> bool:
+    return any(name == v or name.startswith(v + ".") for v in VENDOR_FRONT_ENDS)
+
+
+@pytest.mark.parametrize("layer", BELOW_VENDORS)
+def test_the_shared_layers_do_not_import_the_vendor_front_ends(layer):
+    offenders = [
+        f"{path.relative_to(SRC_ROOT.parent)}:{lineno} imports {names[0]}"
+        for path in sorted((SRC_ROOT / layer).rglob("*.py"))
+        for lineno, names in _imported_modules(path)
+        if any(_imports_a_vendor(name) for name in names)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_vendor_lint_sees_the_vendor_imports():
+    # hip/__init__.py binds CUDA's runtime: ``from ..cuda.runtime import ...``.
+    names = {name for _, group in _imported_modules(SRC_ROOT / "hip" / "__init__.py")
+             for name in group}
+    assert any(_imports_a_vendor(name) for name in names)
+    assert not _imports_a_vendor("repro.cudax")
 
 
 def test_the_lint_resolves_relative_imports():
