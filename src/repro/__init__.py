@@ -76,7 +76,7 @@ Quickstart::
     ompx.target_teams_bare(dev, (n + 255) // 256, 256, scale, (d_a, n))
 """
 
-__version__ = "1.0.0"
+__version__ = "1.2.0"
 
 from . import apps, compiler, cuda, gpu, harness, hip, openmp, ompx, perf, port, trace
 from .errors import ReproError

@@ -267,7 +267,6 @@ class Stencil1D(BenchmarkApp):
         from ..sched import gather, shard
 
         kernel = stencil_ompx_kernel if variant == VersionLabel.OMPX else stencil_cuda_kernel
-        entry = getattr(kernel, "entry", kernel)
         n, r, block = params["n"], params["radius"], params["block"]
         iterations = params["iterations"]
         full = self._input(params)
@@ -327,7 +326,7 @@ class Stencil1D(BenchmarkApp):
                     (npad + block - 1) // block, block, stream=s
                 )
                 launch_kernel(
-                    config, entry, (bufs[d][0], bufs[d][1], npad, r),
+                    config, kernel, (bufs[d][0], bufs[d][1], npad, r),
                     devices[d], synchronous=False,
                 )
                 kern_ev[d] = s.record_event()

@@ -42,6 +42,7 @@ from ..errors import (
 )
 from ..faults import active_plan
 from ..gpu.device import A100_SPEC, DeviceSpec
+from ..gpu.kernel import kernel_name
 from ..gpu.memory import DevicePointer
 from ..resilience.health import HealthTracker
 from ..resilience.report import RecoveryReport
@@ -731,9 +732,7 @@ class ClusterPool:
         :class:`DevicePointer`\\ s are rejected because the memory they
         name lives in a different process.
         """
-        name = label or getattr(
-            getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
-        )
+        name = label or kernel_name(kernel)
         self._check_args_portable(args, name)
         module = getattr(kernel, "__module__", None)
         qualname = getattr(kernel, "__qualname__", None)

@@ -105,7 +105,7 @@ def _launch_by_reference(module: str, qualname: str, config, args: Tuple,
     """The ``call`` that :meth:`ClusterPool.submit` ships a kernel as:
     re-import it by reference and launch it on the placed device."""
     kernel = _resolve_kernel(module, qualname)
-    return launch_kernel(config, getattr(kernel, "entry", kernel), args, device)
+    return launch_kernel(config, kernel, args, device)
 
 
 def _resolve_kernel(module: str, qualname: str):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Set
 
 from ..errors import CompileError
+from ..gpu.kernel import Kernel
 
 __all__ = ["KernelTraits", "analyze_kernel", "clear_traits_cache"]
 
@@ -217,13 +218,12 @@ def clear_traits_cache() -> None:
 def analyze_kernel(kernel: Callable) -> KernelTraits:
     """Derive :class:`KernelTraits` from a kernel's Python source.
 
-    Accepts a raw function or any of the language-layer wrappers
-    (``KernelFunction``, ``BareKernel``) — the wrapped function is analyzed.
-    Falls back to a bytecode-based estimate when source is unavailable
-    (e.g. kernels defined in a REPL).  Results are memoized per function;
+    Accepts a raw function or a :class:`~repro.gpu.kernel.Kernel`, whose
+    ``fn`` is analyzed.  Falls back to a bytecode-based estimate when
+    source is unavailable (e.g. kernels defined in a REPL).  Results are memoized per function;
     :func:`clear_traits_cache` resets the cache.
     """
-    fn = getattr(kernel, "fn", kernel)
+    fn = kernel.fn if isinstance(kernel, Kernel) else kernel
     try:
         cached = _TRAITS_CACHE.get(fn)
     except TypeError:  # unhashable callable

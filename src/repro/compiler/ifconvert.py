@@ -33,6 +33,7 @@ _LANE_VARYING = frozenset({
     "threadIdx", "blockIdx", "thread_idx", "block_idx",
     "flat_thread_id", "flat_block_id", "global_flat_id",
     "global_id_x", "global_id_y", "global_id_z",
+    "omp_get_thread_num", "omp_get_team_num",
 })
 #: Façade members the pass refuses: collectives, atomics, ``loop_max`` (on
 #: a lane batch the maximum over the batch, per thread its own count) and

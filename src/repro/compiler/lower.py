@@ -53,6 +53,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ..gpu.kernel import Kernel
+from ..gpu.vector import VectorThreadCtx
 from .ifconvert import _assign, _Codegen, _name
 from .inline import _Decline, _Inliner, _parse_def, _scope_of, _stored_names
 from .lanes import RUNTIME
@@ -98,10 +100,10 @@ def lower_kernel(kernel: Callable) -> Lowering:
     """Lower ``kernel``'s per-thread body to a lane-batched entry point.
 
     ``kernel`` is what :func:`~repro.gpu.launch.launch_kernel` receives: a
-    raw ``kernel(ctx, *args)`` function, or a front-end adapter carrying
-    the source function as ``fn`` plus ``with_body``/``facade`` (the
-    ``@cuda.kernel`` and ``@ompx.bare_kernel`` entries).  The kernel
-    source is only read, never modified.  Memoized per kernel.
+    :class:`~repro.gpu.kernel.Kernel`, whose ``fn`` is lowered against its
+    ``facade`` and wrapped by its ``with_body``, or a raw ``kernel(ctx,
+    *args)`` function.  The kernel source is only read, never modified.
+    Memoized per kernel.
     """
     try:
         cached = _LOWER_CACHE.get(kernel)
@@ -115,16 +117,9 @@ def lower_kernel(kernel: Callable) -> Lowering:
 
 def _unwrap(kernel: Callable):
     """``(source function, façade class, with_body)`` of an engine-facing kernel."""
-    fn = getattr(kernel, "fn", None)
-    if fn is None:
-        from ..gpu.vector import VectorThreadCtx
-
-        return kernel, VectorThreadCtx, None
-    facade_cls = getattr(kernel, "facade", None)
-    wrap = getattr(kernel, "with_body", None)
-    if facade_cls is None or wrap is None:
-        raise _Decline("the kernel adapter cannot take a lowered body")
-    return fn, facade_cls, wrap
+    if isinstance(kernel, Kernel):
+        return kernel.fn, kernel.facade, kernel.with_body
+    return kernel, VectorThreadCtx, None
 
 
 def _lower_uncached(kernel: Callable) -> Lowering:

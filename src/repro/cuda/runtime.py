@@ -147,7 +147,7 @@ class _VendorRuntime(HostRuntime):
             stream=stream if stream is not None else device.default_stream,
             engine=engine,
         )
-        launch_kernel(config, kern.entry, tuple(args), device, synchronous=False)
+        launch_kernel(config, kern, tuple(args), device, synchronous=False)
 
     # --- the memcpy-kind forms --------------------------------------------
     def _check_kind(self, call: str, dst, src, kind: str) -> None:

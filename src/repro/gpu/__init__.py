@@ -3,7 +3,8 @@
 Everything the kernel-language layers (:mod:`repro.cuda`, :mod:`repro.hip`,
 :mod:`repro.ompx`) and the OpenMP runtime model (:mod:`repro.openmp`) need
 from "hardware": devices, global/shared memory, warps, barriers, atomics,
-streams and kernel launch.
+streams, the kernel object every front end builds (:class:`Kernel`) and
+kernel launch.
 
 The paper's evaluation hardware (Figure 7) is available as device presets:
 ``get_device(0)`` is the NVIDIA A100 (40 GB), ``get_device(1)`` the AMD
@@ -42,6 +43,7 @@ from .engine import (
     WaveVectorEngine,
     select_engine,
 )
+from .kernel import Kernel
 from .launch import LaunchConfig, launch_kernel
 from .memory import DevicePointer, GlobalAllocator, MemcpyKind, memcpy_peer, peer_copy
 from .shared import SharedMemory
@@ -80,6 +82,7 @@ __all__ = [
     "MapEngine",
     "WaveVectorEngine",
     "select_engine",
+    "Kernel",
     "LaunchConfig",
     "launch_kernel",
     "VecDim3",

@@ -39,6 +39,7 @@ from ..errors import LaunchError
 from .atomics import AtomicDomain
 from .context import BlockState, ThreadCtx
 from .dim import Dim3, delinearize
+from .kernel import kernel_name
 from .vector import VectorThreadCtx
 
 __all__ = [
@@ -200,6 +201,8 @@ class BlockThreadEngine(Engine):
             thread.join()
         if errors:
             flat_id, exc = min(errors, key=lambda e: e[0])
+            if not isinstance(exc, Exception):
+                raise exc  # KeyboardInterrupt, SystemExit: not a kernel failure
             raise LaunchError(
                 f"kernel failed in block {block_idx}, thread {flat_id}: {exc!r}",
                 engine=self.name,
@@ -243,7 +246,7 @@ class MapEngine(Engine):
                 ctx = ThreadCtx(state, delinearize(flat_id, block), sync_free=True)
                 try:
                     kernel(ctx, *args)
-                except BaseException as exc:  # noqa: BLE001 - same surface as cooperative engine
+                except Exception as exc:  # same surface as the cooperative engine
                     raise LaunchError(
                         f"kernel failed in block {block_idx}, thread {flat_id}: {exc!r}",
                         engine=self.name,
@@ -326,7 +329,7 @@ class WaveVectorEngine(Engine):
             )
             try:
                 kernel(ctx, *args)
-            except BaseException as exc:  # noqa: BLE001 - same surface as scalar engines
+            except Exception as exc:  # same surface as the scalar engines
                 raise LaunchError(
                     f"kernel failed in blocks [{blocks.start}, {blocks.stop}) "
                     f"(wave batch of {ctx.lanes} lanes): {exc!r}",
@@ -354,7 +357,7 @@ class WaveVectorEngine(Engine):
             )
             try:
                 kernel(ctx, *args)
-            except BaseException as exc:  # noqa: BLE001 - same surface as scalar engines
+            except Exception as exc:  # same surface as the scalar engines
                 raise LaunchError(
                     f"kernel failed in vector lanes [{start}, {stop}): {exc!r}",
                     engine=self.name,
@@ -385,13 +388,10 @@ def describe_plan_key(
     hint: Optional[str] = None,
 ) -> Tuple:
     """The ``(kernel name, device preset, block shape, hint)`` a failed
-    launch's :class:`LaunchError` names as its ``key``.
-
-    The kernel's ``__name__`` falls back through the wrapped ``fn`` the
-    front-end adapters attach.
+    launch's :class:`LaunchError` names as its ``key``; the name is
+    :func:`~repro.gpu.kernel.kernel_name`'s.
     """
-    fn = getattr(kernel, "fn", None) or kernel
-    name = getattr(fn, "__name__", None) or repr(kernel)
+    name = kernel_name(kernel)
     device_name = getattr(getattr(device, "spec", None), "name", None)
     block_shape = block.as_tuple() if isinstance(block, Dim3) else block
     return (name, device_name, block_shape, hint)

@@ -133,8 +133,11 @@ class HostRuntime:
         return ptr
 
     def free(self, ptr: DevicePointer, device: Placement = None) -> None:
-        """``free``: release device memory."""
-        self.resolve_device(device).allocator.free(ptr)
+        """``free``: release device memory on the pointer's own device,
+        which a ``device`` given must name."""
+        if device is not None:
+            self._check_owner(self.name("free"), "pointer", ptr, device)
+        get_device(ptr.device_ordinal).allocator.free(ptr)
 
     def memcpy(self, dst, src, size: int, device: Placement = None, *,
                stream: Optional[Stream] = None) -> None:
@@ -204,14 +207,8 @@ class HostRuntime:
                      call) -> None:
         """The owner check and copy behind every peer-copy form."""
         api = self.name(call)
-        for side, ptr, device in (("dst", dst, dst_device),
-                                  ("src", src, src_device)):
-            ordinal = self.resolve_device(device).ordinal
-            if ordinal != ptr.device_ordinal:
-                raise self.error(
-                    f"{api}: {side} pointer belongs to device "
-                    f"{ptr.device_ordinal}, not device {ordinal}"
-                )
+        self._check_owner(api, "dst pointer", dst, dst_device)
+        self._check_owner(api, "src pointer", src, src_device)
         if stream is None:
             peer_copy(dst, src, size, api=api)
             return
@@ -222,6 +219,16 @@ class HostRuntime:
                         "src_device": src.device_ordinal,
                         "dst_device": dst.device_ordinal},
         )
+
+    def _check_owner(self, api: str, what: str, ptr: DevicePointer,
+                     device: Placement) -> None:
+        """Raise ``error`` unless ``device`` is the device ``ptr`` belongs to."""
+        ordinal = self.resolve_device(device).ordinal
+        if ordinal != ptr.device_ordinal:
+            raise self.error(
+                f"{api}: {what} belongs to device {ptr.device_ordinal}, "
+                f"not device {ordinal}"
+            )
 
     def memcpy_to_symbol(self, symbol: str, src,
                          device: Placement = None) -> None:

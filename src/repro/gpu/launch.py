@@ -33,11 +33,12 @@ from ..faults.inject import active_plan as _fault_plan
 from ..trace import get_tracer
 from .dim import Dim3, DimLike, as_dim3, delinearize
 from .engine import KernelStats, describe_plan_key, lane_entry, select_engine
+from .kernel import kernel_name
 from .stream import Stream
 
 __all__ = ["LaunchConfig", "launch_kernel"]
 
-def _with_injected_fault(kernel: Callable, kernel_name: str, spec: dict) -> Callable:
+def _with_injected_fault(kernel: Callable, name: str, spec: dict) -> Callable:
     """Wrap ``kernel`` so the planned :class:`KernelFault` fires in-flight.
 
     ``spec`` comes from a ``launch:kernel_fault`` rule: ``block`` restricts
@@ -55,7 +56,7 @@ def _with_injected_fault(kernel: Callable, kernel_name: str, spec: dict) -> Call
         block = block_sel
         if block is None:
             block = delinearize(int(np.min(ctx.flat_block_id)), ctx.grid_dim)
-        raise KernelFault(message, kernel=kernel_name, block=block, injected=True)
+        raise KernelFault(message, kernel=name, block=block, injected=True)
 
     def wrapped(ctx, *args):
         flat_block = ctx.flat_block_id
@@ -65,7 +66,7 @@ def _with_injected_fault(kernel: Callable, kernel_name: str, spec: dict) -> Call
             fault(ctx)
         return kernel(_BarrierFaultCtx(ctx, after, fault), *args)
 
-    wrapped.__name__ = kernel_name
+    wrapped.__name__ = name
     return wrapped
 
 
@@ -155,9 +156,11 @@ def launch_kernel(
 ) -> Optional[KernelStats]:
     """Validate and run a kernel described by a :class:`LaunchConfig`.
 
-    ``device=`` accepts anything :func:`repro.gpu.device.resolve_placement`
-    does — an ``int`` ordinal, a :class:`Device`, or ``None`` for the
-    thread-current device.  With a stream and
+    ``kernel`` is a :class:`~repro.gpu.kernel.Kernel` (what every front
+    end's kernel decorator returns) or a raw ``kernel(ctx, *args)``
+    function.  ``device=`` accepts anything
+    :func:`repro.gpu.device.resolve_placement` does — an ``int`` ordinal,
+    a :class:`Device`, or ``None`` for the thread-current device.  With a stream and
     ``synchronous=False`` the launch is enqueued and ``None`` is returned
     (stats are unavailable until the stream drains) — the CUDA behaviour.
     Otherwise the kernel runs to completion and its :class:`KernelStats`
@@ -186,16 +189,14 @@ def launch_kernel(
     device.check_poison()
     device.spec.validate_launch(config.grid, config.block, config.shared_bytes)
     engine = select_engine(kernel, hint=config.engine)
-    kernel_name = getattr(
-        getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
-    )
+    name = kernel_name(kernel)
 
     fault_spec = None
     plan = _fault_plan()
     if plan is not None:
         effects = plan.fire(
             "launch",
-            kernel=kernel_name,
+            kernel=name,
             device=device.ordinal,
             stream=config.stream.name if config.stream is not None else None,
         )
@@ -213,7 +214,7 @@ def launch_kernel(
         lowered = lane_entry(kernel, engine)
         run_kernel = kernel if lowered is None else lowered
         if fault_spec is not None:
-            run_kernel = _with_injected_fault(run_kernel, kernel_name, fault_spec)
+            run_kernel = _with_injected_fault(run_kernel, name, fault_spec)
         tracer = get_tracer()
         try:
             if tracer is None:
@@ -222,7 +223,7 @@ def launch_kernel(
                     config.shared_bytes,
                 )
             with tracer.span(
-                f"kernel:{kernel_name}",
+                f"kernel:{name}",
                 cat="kernel",
                 engine=engine.name,
                 lowered=lowered is not None,
@@ -258,18 +259,18 @@ def launch_kernel(
                 # CUDA sticky semantics: an in-flight kernel fault poisons
                 # the whole device context, not just this launch.
                 if cause.kernel is None:
-                    cause.kernel = kernel_name
+                    cause.kernel = name
                 device.poison(cause)
             raise
 
     if config.stream is not None and not synchronous:
-        config.stream.enqueue(run, label=f"launch:{kernel_name}")
+        config.stream.enqueue(run, label=f"launch:{name}")
         return None
     if config.stream is not None:
         # Synchronous launch on a stream still respects stream ordering.
         result: list = []
         config.stream.enqueue(
-            lambda: result.append(run()), label=f"launch:{kernel_name}"
+            lambda: result.append(run()), label=f"launch:{name}"
         )
         config.stream.synchronize()
         return result[0]

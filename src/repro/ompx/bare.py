@@ -29,62 +29,39 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import LaunchError
-from ..gpu.device import Device, Placement, resolve_placement
+from ..gpu.device import Placement, resolve_placement
 from ..gpu.dim import DimLike, as_dim3
-from ..gpu.launch import LaunchConfig, launch_kernel
+from ..gpu.kernel import Kernel
+from ..gpu.launch import LaunchConfig
 from ..openmp.codegen import RegionTraits, lower_region
-from ..openmp.target import (
-    TargetAccessor, TargetRegionReport, _maybe_defer, _wants_acc, _with_maps,
-)
+from ..openmp.target import _launch_region
 from ..openmp.task import TaskRuntime
+from .capi import bound
 from .device import OmpxThread
 
 __all__ = ["bare_kernel", "target_teams_bare", "BareKernel"]
 
 
-class BareKernel:
-    """A function usable as the body of a ``target teams ompx_bare`` region."""
+class BareKernel(Kernel):
+    """A ``target teams ompx_bare`` region body: the
+    :class:`~repro.gpu.kernel.Kernel` over the :class:`OmpxThread` façade,
+    run with the C API (:mod:`repro.ompx.capi`) bound to its thread."""
 
     def __init__(
         self, fn: Callable, *, sync_free: bool = False, vectorize: bool = False
     ) -> None:
-        functools.update_wrapper(self, fn)
-        self.fn = fn
-        self.language = "ompx"
-        self.sync_free = sync_free
-        self.vectorize = vectorize
+        super().__init__(fn, OmpxThread, language="ompx",
+                         sync_free=sync_free, vectorize=vectorize)
 
-        def with_body(body: Callable) -> Callable:
-            def entry(ctx, *args):
-                facade = OmpxThread(ctx)
-                # Bind the C free-function API (repro.ompx.capi) to this
-                # thread for the duration of the body.
-                from .capi import bound
+    def with_body(self, body: Callable) -> Callable:
+        """Like :meth:`Kernel.with_body`, with the C API bound to the
+        body's façade for the duration of the call."""
+        def entry(ctx, *args):
+            x = OmpxThread(ctx)
+            with bound(x):
+                return body(x, *args)
 
-                with bound(facade):
-                    return body(facade, *args)
-
-            return entry
-
-        adapter = with_body(fn)
-        adapter.sync_free = sync_free
-        adapter.vectorize = vectorize
-        adapter.fn = fn  # what engine selection / compile analysis reads
-        # The lowering pass (repro.compiler.lower) builds its lane-batched
-        # entry from these: the same façade around a generated body.
-        adapter.facade = OmpxThread
-        adapter.with_body = with_body
-        self._adapter = adapter
-
-    @property
-    def entry(self) -> Callable:
-        return self._adapter
-
-    def __call__(self, x, *args):
-        return self.fn(x, *args)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ompx bare kernel {self.fn.__name__}>"
+        return entry
 
 
 def bare_kernel(
@@ -121,20 +98,18 @@ def target_teams_bare(
 ):
     """Launch a bare-metal target region (paper Figure 4 / Figure 5).
 
-    ``region`` may be a :class:`BareKernel` or a plain callable taking an
-    :class:`OmpxThread` first.  Returns a :class:`TargetRegionReport`
-    (synchronous) or the deferred :class:`~repro.openmp.task.Task`
-    (``nowait=True``).
+    ``region`` is a :class:`BareKernel` (any
+    :class:`~repro.gpu.kernel.Kernel` launches as is) or a plain callable
+    taking an :class:`OmpxThread` first, which becomes one
+    :class:`BareKernel` per function.  Returns a
+    :class:`~repro.openmp.target.TargetRegionReport` (synchronous) or the
+    deferred :class:`~repro.openmp.task.Task` (``nowait=True``).
     """
     device = resolve_placement(device)
-    if isinstance(region, BareKernel):
-        fn, entry = region.fn, region.entry
-        name = fn.__name__
-    elif callable(region):
-        fn, entry = region, BareKernel(region).entry
-        name = getattr(region, "__name__", "bare_region")
-    else:
-        raise LaunchError(f"region must be callable, got {region!r}")
+    if not isinstance(region, Kernel):
+        if not callable(region):
+            raise LaunchError(f"region must be callable, got {region!r}")
+        region = _undecorated(region)
 
     # §3.2: multi-dimensional num_teams/thread_limit, with out-of-capability
     # dimensions disregarded rather than rejected.
@@ -146,17 +121,10 @@ def target_teams_bare(
     # reports.
 
     traits = RegionTraits(style="bare", requested_thread_limit=block.volume)
-    codegen = lower_region(traits)
+    config = LaunchConfig.create(grid, block, shared_bytes, engine=engine)
+    return _launch_region(device, region, config, args, lower_region(traits),
+                          maps, nowait, depend, task_runtime)
 
-    def run():
-        def body_fn(acc: TargetAccessor) -> TargetRegionReport:
-            config = LaunchConfig.create(grid, block, shared_bytes, engine=engine)
-            call_args = tuple(args) + ((acc,) if _wants_acc(fn, len(args)) else ())
-            stats = launch_kernel(config, entry, call_args, device)
-            return TargetRegionReport(
-                codegen=codegen, grid=grid.volume, block=block.volume, stats=stats
-            )
 
-        return _with_maps(device, maps, body_fn)
-
-    return _maybe_defer(nowait, depend, task_runtime, run, name)
+# One BareKernel per undecorated region function, so the lowering memo keeps it.
+_undecorated = functools.lru_cache(maxsize=256)(BareKernel)

@@ -7,8 +7,9 @@ Two region shapes cover how HeCBench's OpenMP versions are written:
   over teams and threads.
 * :func:`target_teams_parallel` — the SIMT style of Figure 3: an explicit
   ``parallel`` region in which every thread computes its own indices and
-  may hit barriers; runs on the cooperative engine through the
-  :class:`~repro.openmp.runtime.OmpThread` façade.
+  may hit barriers; a :class:`~repro.gpu.kernel.Kernel` over the
+  :class:`~repro.openmp.runtime.OmpThread` façade, selected and lowered
+  like the other front ends' kernels.
 
 Every execution is lowered through :func:`repro.openmp.codegen.lower_region`
 first, and the resulting :class:`CodegenInfo` is returned in the
@@ -33,6 +34,7 @@ from ..errors import OpenMPError
 from ..gpu.device import Device, Placement, resolve_placement
 from ..gpu.dim import DimLike, as_dim3
 from ..gpu.engine import KernelStats
+from ..gpu.kernel import Kernel, kernel_name
 from ..gpu.launch import LaunchConfig, launch_kernel
 from ..trace import get_tracer
 from .codegen import CodegenInfo, RegionTraits, lower_region
@@ -103,6 +105,22 @@ def _maybe_defer(nowait: bool, depend, runtime: Optional[TaskRuntime], run: Call
         return run()
     rt = runtime or default_task_runtime()
     return rt.submit(lambda: run(), depends=tuple(depend or ()), name=name)
+
+
+def _launch_region(device: Device, kernel: Kernel, config: LaunchConfig, args,
+                   codegen: CodegenInfo, maps, nowait, depend, task_runtime):
+    """Map, launch and report: the body the SIMT and bare constructs
+    share once each has settled its geometry in ``config``."""
+    def run():
+        def body_fn(acc: TargetAccessor) -> TargetRegionReport:
+            call_args = (*args, acc) if _wants_acc(kernel.fn, len(args)) else tuple(args)
+            stats = launch_kernel(config, kernel, call_args, device)
+            return TargetRegionReport(codegen=codegen, grid=config.grid.volume,
+                                      block=config.block.volume, stats=stats)
+
+        return _with_maps(device, maps, body_fn)
+
+    return _maybe_defer(nowait, depend, task_runtime, run, kernel_name(kernel))
 
 
 def target(
@@ -291,6 +309,11 @@ def target_teams_parallel(
     one-dimensional (multi-dimensional launches are the §3.2 *extension*,
     available only through :mod:`repro.ompx`), and the region is lowered
     with the full runtime (never bare).
+
+    The region launches as one :class:`~repro.gpu.kernel.Kernel` per
+    region function, so it is selected and lowered like an ompx kernel:
+    with barriers and ``groupprivate`` arrays it runs on ``wave`` when
+    :mod:`repro.compiler.lower` lowers it.
     """
     grid = as_dim3(num_teams)
     block = as_dim3(thread_limit)
@@ -308,24 +331,15 @@ def target_teams_parallel(
     codegen = lower_region(traits)
     if codegen.effective_thread_limit is not None:
         block = as_dim3(min(block.x, codegen.effective_thread_limit))
+    config = LaunchConfig.create(grid, block, shared_bytes)
+    return _launch_region(device, _simt_kernel(region), config, args, codegen,
+                          maps, nowait, depend, task_runtime)
 
-    def adapter(ctx, *kargs):
-        return region(OmpThread(ctx), *kargs)
 
-    # What engine selection / compile analysis should look at is the
-    # user's region, not this closure.
-    adapter.fn = region
-    adapter.vectorize = getattr(region, "vectorize", False)
-
-    def run():
-        def body_fn(acc: TargetAccessor) -> TargetRegionReport:
-            config = LaunchConfig.create(grid, block, shared_bytes)
-            stats = launch_kernel(config, adapter, (*args, acc) if _wants_acc(region, len(args)) else tuple(args), device)
-            return TargetRegionReport(codegen=codegen, grid=grid.volume, block=block.volume, stats=stats)
-
-        return _with_maps(device, maps, body_fn)
-
-    return _maybe_defer(nowait, depend, task_runtime, run, region.__name__)
+@functools.lru_cache(maxsize=256)
+def _simt_kernel(region: Callable) -> Kernel:
+    # One kernel per region function, so the lowering memo keeps it.
+    return Kernel(region, OmpThread, language="omp")
 
 
 @functools.lru_cache(maxsize=256)

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import ast
 import difflib
-import inspect
-import textwrap
 from dataclasses import dataclass
 from typing import Callable, List
 
 from ..errors import PortError
-from .translate import port_kernel_source
+from ..gpu.kernel import kernel_name
+from .translate import _kernel_source, port_kernel_source
 
 __all__ = ["PortEffort", "measure_port_effort"]
 
@@ -107,14 +106,6 @@ def _canonical_lines(source: str) -> List[str]:
     return ast.unparse(tree).splitlines()
 
 
-def _kernel_source(fn: Callable) -> str:
-    raw = getattr(fn, "fn", fn)
-    try:
-        return textwrap.dedent(inspect.getsource(raw))
-    except (OSError, TypeError) as exc:
-        raise PortError(f"cannot read source of {raw!r}") from exc
-
-
 def _diff_line_count(a: List[str], b: List[str]) -> int:
     matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
     changed = 0
@@ -137,9 +128,8 @@ def measure_port_effort(cuda_kernel: Callable, ompx_kernel: Callable) -> PortEff
 
     changed = _diff_line_count(cuda_lines, ompx_lines)
     residual = _diff_line_count(ported_lines, ompx_lines)
-    name = getattr(getattr(cuda_kernel, "fn", cuda_kernel), "__name__", "<kernel>")
     return PortEffort(
-        kernel_name=name,
+        kernel_name=kernel_name(cuda_kernel),
         total_lines=max(len(cuda_lines), len(ompx_lines)),
         changed_lines=changed,
         mechanical_lines=max(0, changed - residual),

@@ -115,19 +115,22 @@ class _DslTransformer(ast.NodeTransformer):
         return node
 
 
+def _kernel_source(fn: Callable) -> str:
+    """The source of a kernel's body, dedented."""
+    try:
+        return textwrap.dedent(inspect.getsource(fn))
+    except (OSError, TypeError) as exc:
+        raise PortError(f"cannot read source of {fn!r}") from exc
+
+
 def port_kernel_source(fn: Callable) -> str:
     """Return the ompx-DSL source text of a ported CUDA-DSL kernel."""
-    raw = getattr(fn, "fn", fn)
-    try:
-        source = textwrap.dedent(inspect.getsource(raw))
-    except (OSError, TypeError) as exc:
-        raise PortError(f"cannot read source of {raw!r}") from exc
-    tree = ast.parse(source)
+    tree = ast.parse(_kernel_source(fn))
     func_def = next(
         (n for n in tree.body if isinstance(n, ast.FunctionDef)), None
     )
     if func_def is None:
-        raise PortError(f"no function definition found in source of {raw!r}")
+        raise PortError(f"no function definition found in source of {fn!r}")
     if not func_def.args.args:
         raise PortError("a kernel needs at least the façade parameter")
     facade = func_def.args.args[0].arg
@@ -143,7 +146,9 @@ def port_kernel(fn: Callable, *, sync_free: Optional[bool] = None) -> BareKernel
 
     The ported function executes in a namespace seeded with the original
     kernel's globals, so device functions and constants keep resolving.
-    ``sync_free`` defaults to the original kernel's declaration.
+    ``sync_free`` defaults to the original kernel's declaration, and
+    ``vectorize`` is the original's, so the port runs on the engine the
+    original runs on.
     """
     raw = getattr(fn, "fn", fn)
     source = port_kernel_source(fn)
@@ -152,7 +157,8 @@ def port_kernel(fn: Callable, *, sync_free: Optional[bool] = None) -> BareKernel
     ported = namespace[raw.__name__]
     if sync_free is None:
         sync_free = bool(getattr(fn, "sync_free", False))
-    return BareKernel(ported, sync_free=sync_free)
+    return BareKernel(ported, sync_free=sync_free,
+                      vectorize=bool(getattr(fn, "vectorize", False)))
 
 
 # --- CUDA C source translation -------------------------------------------------

@@ -35,6 +35,7 @@ from ..errors import (
     WatchdogTimeout,
 )
 from ..gpu.device import Device
+from ..gpu.kernel import kernel_name
 from ..gpu.launch import LaunchConfig, launch_kernel
 from ..sched import DevicePool, Future, KernelFuture
 from .health import HEALTHY, QUARANTINED, RETIRED, SUSPECT, HealthTracker
@@ -364,14 +365,10 @@ class ResilientPool:
         label: Optional[str] = None,
     ) -> ResilientFuture:
         """Like :meth:`DevicePool.submit`, with recovery."""
-        entry = getattr(kernel, "entry", kernel)
-        name = label or getattr(
-            getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
-        )
         return self.submit_call(
-            lambda dev: launch_kernel(config, entry, tuple(args), dev),
+            lambda dev: launch_kernel(config, kernel, tuple(args), dev),
             device=device,
-            label=name,
+            label=label or kernel_name(kernel),
         )
 
     def synchronize(self) -> None:

@@ -41,6 +41,7 @@ from ..gpu.device import (
     add_device,
     remove_device,
 )
+from ..gpu.kernel import kernel_name
 from ..gpu.launch import LaunchConfig, launch_kernel
 from ..trace import get_tracer
 from .future import Future
@@ -373,18 +374,14 @@ class DevicePool:
         """Launch ``kernel`` with ``config`` on a pool device; return a future.
 
         ``kernel`` is anything :func:`~repro.gpu.launch.launch_kernel`
-        accepts (a raw engine callable or a front-end ``KernelFunction``
-        with an ``.entry``).  The future resolves to the launch's
+        accepts (a :class:`~repro.gpu.kernel.Kernel` or a raw
+        ``(ctx, *args)`` function).  The future resolves to the launch's
         :class:`~repro.gpu.engine.KernelStats`.
         """
-        entry = getattr(kernel, "entry", kernel)
-        name = label or getattr(
-            getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
-        )
         return self._submit(
-            lambda dev: launch_kernel(config, entry, tuple(args), dev),
+            lambda dev: launch_kernel(config, kernel, tuple(args), dev),
             device,
-            name,
+            label or kernel_name(kernel),
         )
 
     def submit_call(

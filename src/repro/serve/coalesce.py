@@ -21,14 +21,14 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..digest import digest
+from ..gpu.kernel import Kernel
 
 __all__ = ["kernel_key", "app_key"]
 
 
 def _kernel_identity(kernel) -> Tuple[str, str]:
     """A stable name for the kernel function itself (not its wrapper)."""
-    entry = getattr(kernel, "entry", kernel)
-    fn = getattr(entry, "fn", None) or entry
+    fn = kernel.fn if isinstance(kernel, Kernel) else kernel
     return (
         getattr(fn, "__module__", ""),
         getattr(fn, "__qualname__", repr(fn)),

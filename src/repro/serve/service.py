@@ -48,6 +48,7 @@ from ..errors import (
     StickyContextError,
 )
 from ..gpu.device import DeviceSpec
+from ..gpu.kernel import kernel_name
 from ..resilience import RecoveryReport
 from ..resilience.policy import exception_chain
 from ..sched import PoolProtocol, gather
@@ -222,9 +223,7 @@ class KernelService:
     # --- submission plumbing (called by Session) ----------------------------
     def _submit_kernel(self, state, kernel, config, args, *,
                        label: Optional[str], coalesce: bool) -> ServeFuture:
-        name = label or getattr(
-            getattr(kernel, "fn", None) or kernel, "__name__", "kernel"
-        )
+        name = label or kernel_name(kernel)
         key = kernel_key(kernel, config, args) if coalesce else None
         return self._submit(
             state, "kernel", name, key,

@@ -260,3 +260,17 @@ class TestThreadCtxIdentities:
         kernel.sync_free = True
         launch_kernel(LaunchConfig.create(2, 48), kernel, (), nvidia)
         assert len(hits) == 96
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+@pytest.mark.parametrize("engine", ["map", "vector", "wave", "block-thread"])
+def test_an_interrupt_in_a_kernel_propagates_as_itself(nvidia, engine, interrupt):
+    """A Ctrl-C or exit inside a kernel is not a launch failure: it
+    reaches the caller as itself, not wrapped in a LaunchError that a
+    resilient pool would retry."""
+
+    def kernel(ctx):
+        raise interrupt("stop")
+
+    with pytest.raises(interrupt, match="stop"):
+        launch_kernel(LaunchConfig.create(1, 32, engine=engine), kernel, (), nvidia)

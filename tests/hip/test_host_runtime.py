@@ -11,7 +11,7 @@ import pytest
 
 from repro import cuda, faults, hip, ompx, trace
 from repro.cuda import runtime as cuda_runtime
-from repro.errors import GpuError, MappingError
+from repro.errors import GpuError, InvalidPointerError, MappingError
 from repro.gpu import get_device
 from repro.gpu.host import HostRuntime
 from repro.openmp.data import omp_target_memcpy
@@ -156,6 +156,28 @@ def test_device_to_device_copy_goes_through_the_pointers_device(api):
     finally:
         owner.allocator.free(a)
         owner.allocator.free(b)
+
+
+#: Each API's free, the error it raises, and a device that is not the
+#: API's current one (CUDA's and ompx's current device is 0, HIP's 1).
+FREES = {
+    "cudaFree": (cuda.cudaFree, GpuError, 1),
+    "hipFree": (hip.hipFree, GpuError, 0),
+    "ompx_free": (ompx.ompx_free, MappingError, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(FREES))
+def test_free_goes_through_the_pointers_device(call):
+    free, error, ordinal = FREES[call]
+    owner, other = get_device(ordinal), 1 - ordinal
+    ptr = owner.allocator.malloc(16)
+    with pytest.raises(error, match=f"^{call}: pointer belongs to device "
+                                    f"{ordinal}, not device {other}$"):
+        free(ptr, other)
+    free(ptr)
+    with pytest.raises(InvalidPointerError, match="double free"):
+        owner.allocator.free(ptr)
 
 
 class TestMemcpyKinds:

@@ -5,6 +5,7 @@ import pytest
 
 from repro import cuda, ompx
 from repro.errors import PortError
+from repro.gpu.engine import select_engine
 from repro.ompx.bare import BareKernel
 from repro.port import port_kernel, port_kernel_source
 
@@ -41,6 +42,14 @@ def warp_kernel(t, out, n):
 def atomic_kernel(t, out):
     t.atomicAdd(t.array(out, 1, np.int64), 0, 1)
     t.atomicMax(t.array(out, 1, np.int64), 0, 0)
+
+
+@cuda.kernel(sync_free=True, vectorize=True)
+def batched_axpy_kernel(t, xs, ys, n, alpha):
+    i = t.blockIdx.x * t.blockDim.x + t.threadIdx.x
+    yv = t.array(ys, n, np.float64)
+    xv = t.array(xs, n, np.float64)
+    t.store(yv, i, alpha * t.load(xv, i) + t.load(yv, i), mask=i < n)
 
 
 class TestSourceTranslation:
@@ -125,6 +134,34 @@ class TestRoundTrip:
             assert np.allclose(out, 2.0 * x_host + 1)
 
         self._run_both(nvidia, axpy_kernel, ported, setup, check)
+
+    def test_a_hand_batched_kernel_keeps_its_engine(self, nvidia):
+        ported = port_kernel(batched_axpy_kernel)
+        assert (ported.sync_free, ported.vectorize) == (True, True)
+        assert select_engine(batched_axpy_kernel).name == "vector"
+        assert select_engine(ported).name == "vector"
+        n = 100
+        x_host = np.random.default_rng(2).random(n)
+
+        def setup():
+            d_x = nvidia.allocator.malloc(n * 8)
+            d_y = nvidia.allocator.malloc(n * 8)
+            nvidia.allocator.memcpy_h2d(d_x, x_host)
+            nvidia.allocator.memcpy_h2d(d_y, np.ones(n))
+
+            def finish():
+                out = np.zeros(n)
+                nvidia.allocator.memcpy_d2h(out, d_y)
+                nvidia.allocator.free(d_x)
+                nvidia.allocator.free(d_y)
+                return out
+
+            return (d_x, d_y, n, 2.0), finish
+
+        def check(out):
+            assert np.array_equal(out, 2.0 * x_host + 1)
+
+        self._run_both(nvidia, batched_axpy_kernel, ported, setup, check)
 
     def test_shared_tile_round_trip(self, nvidia):
         ported = port_kernel(tile_kernel)

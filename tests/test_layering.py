@@ -18,6 +18,10 @@ worker builds its own local pool inside its process.
 The host runtime every front end shares (``repro.gpu.host``) sits below
 the vendor spellings: ``repro.gpu``, ``repro.openmp`` and ``repro.ompx``
 import neither ``repro.cuda`` nor ``repro.hip``, which build on top.
+
+Engine-facing kernels are built in one place too, ``repro.gpu.kernel``:
+no other module attaches a ``with_body`` to a callable or unwraps an
+``entry`` adapter, so what a kernel is cannot fork per front end again.
 """
 
 import ast
@@ -147,3 +151,38 @@ def test_only_the_builder_constructs_pools():
 def test_the_construction_lint_sees_calls():
     sample = SRC_ROOT / "backend.py"
     assert {name for _, name in _pool_constructions(sample)} == set(POOL_CLASSES)
+
+
+#: The one module that builds engine-facing kernels.
+KERNEL_BUILDER = "repro/gpu/kernel.py"
+
+
+def _kernel_adapters(source: str):
+    """Yield ``(lineno, what)`` for each ``with_body`` attribute assigned
+    and each ``getattr(..., "entry", ...)`` called in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "with_body"
+                and isinstance(node.ctx, ast.Store)):
+            yield node.lineno, "assigns .with_body"
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == "entry"):
+            yield node.lineno, 'calls getattr(..., "entry", ...)'
+
+
+def test_only_the_kernel_module_builds_engine_facing_kernels():
+    offenders = [
+        f"{path.relative_to(SRC_ROOT.parent)}:{lineno} {what}"
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        if path.relative_to(SRC_ROOT.parent).as_posix() != KERNEL_BUILDER
+        for lineno, what in _kernel_adapters(path.read_text())
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_kernel_lint_sees_adapters():
+    sample = 'adapter.with_body = wrap\nentry = getattr(kernel, "entry", kernel)\n'
+    assert sorted(_kernel_adapters(sample)) == [
+        (1, "assigns .with_body"), (2, 'calls getattr(..., "entry", ...)'),
+    ]
+    assert not list(_kernel_adapters("wrap = kernel.with_body\n"))
